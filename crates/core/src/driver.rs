@@ -14,35 +14,49 @@
 //! The protocol stack (base OT, IKNP, KK13, garbled circuits) is written
 //! as straight-line blocking code against the [`Transport`] trait, and
 //! rewriting it in continuation-passing style would fork every
-//! cryptographic code path. The driver instead exploits three properties
-//! of the *server* side:
+//! cryptographic code path. The driver instead runs the server side as a
+//! sequence of **steps** — the same cursors the blocking
+//! [`SecureServer`] calls loop over:
 //!
-//! 1. every phase is a **deterministic** function of its entry state, the
-//!    RNG stream, and the prefix of inbound frames it consumes (the server
-//!    phases after base-OT setup consume no randomness at all);
-//! 2. all server session state ([`ServerSession`], [`ServerOffline`]) is
-//!    cheaply cloneable, so each phase keeps its entry snapshot;
-//! 3. the protocol is strictly turn-based, so a phase consumes a small,
+//! | stage | steps |
+//! |---|---|
+//! | handshake | 1: receive the hello, consult the host, reply |
+//! | setup | 2: fragment-OT base setup, then Yao base setup (plus the pooled bundle send) |
+//! | offline | per linear op and fragment: 1 extension + 1 masked-triplet receive/decode; 1 per `MatMulSS` op |
+//! | online | 1 blinded-input step, then 1 per graph op (the output op sends the shares) |
+//!
+//! Three properties make a step replayable:
+//!
+//! 1. every step is a **deterministic** function of its stage's state,
+//!    the RNG stream, and the prefix of inbound frames it consumes;
+//! 2. a step mutates its cursor only after its last recv, working on
+//!    copies of what it changes before (the fragment chooser, the Yao
+//!    evaluator), so a failed step leaves the stage as it was;
+//! 3. the protocol is strictly turn-based, so a step consumes a small,
 //!    bounded number of frames.
 //!
-//! Each [`step`](SessionDriver::step) therefore *replays* the current
-//! phase from its entry snapshot against the buffered inbox. A recv past
-//! the end of the inbox raises [`TransportError::WouldBlock`], marks the
-//! attempt starved, and parks the driver; effects performed before the
-//! starvation point are externalized once and suppressed by count on the
-//! next attempt. When the phase function returns `Ok`, its consumed
-//! frames leave the inbox and the machine advances. The transcript this
-//! produces is byte-identical to the blocking path — `tests/graph_parity.rs`
-//! pins that equivalence against pre-refactor goldens — and
-//! [`drive_blocking`] reimplements the blocking flow as a thin adapter
-//! over the driver.
+//! Each [`step`](SessionDriver::step) therefore runs the current step
+//! against the buffered inbox. A recv past the end of the inbox raises
+//! [`TransportError::WouldBlock`], marks the attempt starved, and parks
+//! the driver; effects performed before the starvation point are
+//! externalized once and suppressed by count on the next attempt. When
+//! the step returns `Ok`, its consumed frames leave the inbox and the
+//! cursor moves on. A parked session thus re-runs only the step it
+//! parked in: replay work is bounded by one step per suspension
+//! ([`SessionDriver::replayed_steps`]). The transcript this
+//! produces is byte-identical to the blocking path —
+//! `tests/graph_parity.rs` pins that equivalence against pre-refactor
+//! goldens — and [`drive_blocking`] reimplements the blocking flow as a
+//! thin adapter over the driver.
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::frames::Bundle;
-use crate::handshake::{handshake_server_ext, HelloReply, ResumeToken, SessionParams};
+use crate::handshake::{handshake_server_ext, ResumeToken, SessionParams};
 use crate::inference::{SecureServer, ServerOffline};
-use crate::session::ServerSession;
+use crate::session::{ServerSession, SetupCursor};
+use crate::stepper::{OfflineCursor, OnlineCursor};
 use crate::ProtocolError;
+use abnn2_math::Matrix;
 use abnn2_net::{CommSnapshot, Transport, TransportError};
 use abnn2_ot::OfflineMode;
 use rand::rngs::StdRng;
@@ -145,16 +159,16 @@ pub enum DriverStep {
 /// inbox; a recv past its end raises [`TransportError::WouldBlock`] and
 /// flags starvation, and outbound traffic is captured as
 /// [`DriverEffect`]s. Events performed by an earlier starved attempt of
-/// the same phase are suppressed by count on replay — sound because each
-/// phase is a deterministic function of its entry snapshot and the inbox
+/// the same step are suppressed by count on replay — sound because each
+/// step is a deterministic function of its stage's state and the inbox
 /// prefix it reads.
 #[derive(Debug, Default)]
 struct ReplayTransport {
-    /// Buffered inbound frames; consumed only when a phase completes.
+    /// Buffered inbound frames; consumed only when a step completes.
     inbox: Vec<Vec<u8>>,
     /// Next inbox index the current attempt will read.
     cursor: usize,
-    /// Events already externalized by earlier attempts of this phase.
+    /// Events already externalized by earlier attempts of this step.
     committed: usize,
     /// Events performed so far by the current attempt.
     events: usize,
@@ -240,29 +254,48 @@ impl Transport for ReplayTransport {
     }
 }
 
-/// The machine's position in the protocol. Each live variant holds the
-/// entry snapshot its phase replays from.
-enum State {
+/// Where the session's offline state comes from, as the handshake
+/// settled it with the host.
+enum Source {
+    /// Generate it: the IKNP/KK13 (or silent) offline phase.
+    Cold,
+    /// A claimed resume checkpoint.
+    Resume(ServerBundle),
+    /// A pooled bundle pair; the client half is sent after setup.
+    Pooled(ServerBundle, ClientBundle),
+}
+
+/// A live stage of the protocol: the cursor whose next step the driver
+/// runs. Between steps a stage *is* the session's snapshot — steps commit
+/// only after their last recv — so a starved step is retried from it.
+enum Stage {
     Handshake,
-    Setup {
-        batch: usize,
-        reply: HelloReply,
-        claimed: Option<ServerBundle>,
-        pooled: Option<(ServerBundle, ClientBundle)>,
-    },
-    Offline {
-        session: ServerSession,
-        batch: usize,
-    },
-    Online {
-        state: ServerOffline,
-    },
+    Setup(Box<Setup>),
+    Offline(Box<OfflineCursor>),
+    Online(Box<OnlineCursor>),
+}
+
+/// The setup stage: base-OT setup, then routing by [`Source`].
+struct Setup {
+    batch: usize,
+    source: Source,
+    cursor: SetupCursor,
+}
+
+/// The machine's position in the protocol.
+enum State {
+    Live(Stage),
     Done,
     Failed(ProtocolError),
 }
 
+/// A failed step attempt: the stage to retry from — `None` when the
+/// failure came after the step's last recv, which cannot be starvation —
+/// and the error.
+type Stall = (Option<Stage>, ProtocolError);
+
 /// Resumable server-side protocol session. See the module docs for the
-/// replay mechanics; see [`drive_blocking`] for the synchronous adapter
+/// step mechanics; see [`drive_blocking`] for the synchronous adapter
 /// and `abnn2-serve` for the event-loop host.
 pub struct SessionDriver<H: SessionHost> {
     server: Arc<SecureServer>,
@@ -274,8 +307,11 @@ pub struct SessionDriver<H: SessionHost> {
     batch: Option<usize>,
     checkpoint: Option<ServerBundle>,
     pending: Vec<DriverEffect>,
-    /// Inbox length at the last starvation, to skip no-progress replays.
+    /// Inbox length at the last starvation, to skip no-progress replays;
+    /// set exactly while the current step's next attempt is a replay.
     parked_at: Option<usize>,
+    completed_steps: u32,
+    replayed_steps: u32,
 }
 
 impl<H: SessionHost> std::fmt::Debug for SessionDriver<H> {
@@ -284,13 +320,16 @@ impl<H: SessionHost> std::fmt::Debug for SessionDriver<H> {
             .field("phase", &self.phase())
             .field("inbox", &self.replay.inbox.len())
             .field("pending_effects", &self.pending.len())
+            .field("completed_steps", &self.completed_steps)
+            .field("replayed_steps", &self.replayed_steps)
             .finish()
     }
 }
 
 impl<H: SessionHost> SessionDriver<H> {
     /// A driver at the start of the handshake. `rng` feeds base-OT setup
-    /// (the only server phase that consumes randomness).
+    /// and the matrix-triple shares of secret×secret matmul ops (the only
+    /// server steps that consume randomness).
     #[must_use]
     pub fn new(server: Arc<SecureServer>, host: H, rng: StdRng) -> Self {
         SessionDriver {
@@ -298,12 +337,14 @@ impl<H: SessionHost> SessionDriver<H> {
             host,
             rng,
             replay: ReplayTransport::default(),
-            state: State::Handshake,
+            state: State::Live(Stage::Handshake),
             token: None,
             batch: None,
             checkpoint: None,
             pending: Vec::new(),
             parked_at: None,
+            completed_steps: 0,
+            replayed_steps: 0,
         }
     }
 
@@ -351,46 +392,66 @@ impl<H: SessionHost> SessionDriver<H> {
         }
     }
 
+    /// Protocol steps run to completion so far. A session's step count
+    /// depends only on its graph and path (cold, resumed, pooled), never
+    /// on how its frames arrived.
+    #[must_use]
+    pub fn completed_steps(&self) -> u32 {
+        self.completed_steps
+    }
+
+    /// Step attempts that starved on a missing frame and ran again once
+    /// it arrived: at most one per suspension, since a completed step is
+    /// never re-run.
+    #[must_use]
+    pub fn replayed_steps(&self) -> u32 {
+        self.replayed_steps
+    }
+
     /// The top-level phase the machine is in: `"handshake"`, `"setup"`,
     /// `"offline"`, `"online"`, `"done"`, or `"failed"`. Event loops key
     /// phase deadline budgets off this.
     #[must_use]
     pub fn phase(&self) -> &'static str {
         match self.state {
-            State::Handshake => "handshake",
-            State::Setup { .. } => "setup",
-            State::Offline { .. } => "offline",
-            State::Online { .. } => "online",
+            State::Live(Stage::Handshake) => "handshake",
+            State::Live(Stage::Setup(_)) => "setup",
+            State::Live(Stage::Offline(_)) => "offline",
+            State::Live(Stage::Online(_)) => "online",
             State::Done => "done",
             State::Failed(_) => "failed",
         }
     }
 
-    /// Advances the machine as far as the buffered inbox allows: phases
+    /// Advances the machine as far as the buffered inbox allows: steps
     /// complete and chain until one parks on a missing frame, fails, or
     /// the session finishes. Idempotent once `Done`/`Failed` is reached.
     pub fn step(&mut self) -> DriverStep {
         loop {
-            match self.state {
+            let stage = match std::mem::replace(&mut self.state, State::Done) {
+                State::Live(stage) => stage,
                 State::Done => return DriverStep::Done,
-                State::Failed(e) => return DriverStep::Failed(e),
-                _ => {}
-            }
+                State::Failed(e) => {
+                    self.state = State::Failed(e);
+                    return DriverStep::Failed(e);
+                }
+            };
             // Replaying with no new frames since the last starvation
             // cannot make progress; skip the wasted work.
-            if let Some(n) = self.parked_at {
-                if self.replay.inbox.len() == n {
-                    return DriverStep::NeedRecv;
-                }
+            if self.parked_at == Some(self.replay.inbox.len()) {
+                self.state = State::Live(stage);
+                return DriverStep::NeedRecv;
             }
-            self.parked_at = None;
+            if self.parked_at.take().is_some() {
+                self.replayed_steps += 1;
+            }
 
             // Each attempt runs on a clone of the RNG so a starved
             // attempt leaves the stream untouched and the replay is
             // bit-reproducible.
             let mut rng = self.rng.clone();
             self.replay.begin_attempt();
-            let outcome = self.run_phase(&mut rng);
+            let outcome = self.advance(stage, &mut rng);
             let cursor = self.replay.cursor;
             let events = self.replay.events;
             self.pending.append(&mut self.replay.effects);
@@ -399,33 +460,32 @@ impl<H: SessionHost> SessionDriver<H> {
                     self.replay.inbox.drain(..cursor);
                     self.replay.committed = 0;
                     self.rng = rng;
+                    self.completed_steps += 1;
                     self.state = next;
                 }
-                Err(_) if self.replay.starved => {
+                Err((Some(stage), _)) if self.replay.starved => {
                     self.replay.committed = events;
                     self.parked_at = Some(self.replay.inbox.len());
+                    self.state = State::Live(stage);
                     return DriverStep::NeedRecv;
                 }
-                Err(e) => {
-                    self.state = State::Failed(e);
-                }
+                Err((_, e)) => self.state = State::Failed(e),
             }
         }
     }
 
-    /// Runs the current phase over the replay channel, returning the next
-    /// state. Mutations of driver fields other than the replay channel
-    /// happen only after the phase's last recv, so starved attempts leave
-    /// the driver unchanged.
-    fn run_phase(&mut self, rng: &mut StdRng) -> Result<State, ProtocolError> {
-        let ch = &mut self.replay;
-        match &mut self.state {
-            State::Handshake => {
+    /// Runs one step of `stage` over the replay channel, returning the
+    /// next state. A step that fails hands its stage back untouched (see
+    /// [`Stage`]); driver fields other than the replay channel change
+    /// only after a step's last recv.
+    fn advance(&mut self, stage: Stage, rng: &mut StdRng) -> Result<State, Stall> {
+        match stage {
+            Stage::Handshake => {
+                let ch = &mut self.replay;
                 ch.mark_phase("handshake");
                 let host = &self.host;
-                let mut claimed = None;
-                let mut pooled = None;
-                // The host closures run exactly once: the handshake's
+                let (mut claimed, mut pooled) = (None, None);
+                // The host closures run at most once: the handshake's
                 // only suspension point is its initial recv, before they
                 // are consulted, and everything after that recv is
                 // non-blocking.
@@ -440,50 +500,103 @@ impl<H: SessionHost> SessionDriver<H> {
                         pooled = host.take_bundle(p, mode);
                         pooled.is_some()
                     },
-                )?;
+                )
+                .map_err(|e| (Some(Stage::Handshake), e))?;
                 self.token = Some(token);
                 self.batch = Some(batch);
-                Ok(State::Setup { batch, reply, claimed, pooled })
-            }
-            State::Setup { batch, reply, claimed, pooled } => {
-                let (batch, reply) = (*batch, *reply);
+                // The reply accepted a resume exactly when a checkpoint
+                // was claimed, and a bundle exactly when a pair was
+                // pooled (never both).
+                let source = match (claimed, pooled) {
+                    (Some(bundle), _) => Source::Resume(bundle),
+                    (None, Some((sb, cb))) => Source::Pooled(sb, cb),
+                    (None, None) => Source::Cold,
+                };
                 ch.mark_phase("setup");
-                let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
-                if reply.resume {
-                    let bundle =
-                        claimed.clone().expect("accepted resume implies a claimed checkpoint");
-                    if bundle.batch != batch {
-                        return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
-                    }
-                    self.checkpoint = Some(bundle.clone());
-                    Ok(State::Online { state: ServerOffline::from_bundle(session, bundle) })
-                } else if reply.bundle {
-                    let (sb, cb) = pooled.clone().expect("accepted bundle implies a pooled pair");
-                    ch.mark_phase("bundle");
-                    ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
-                    ch.flush()?;
-                    let state = ServerOffline::from_bundle(session, sb);
-                    self.checkpoint = Some(state.to_bundle());
-                    Ok(State::Online { state })
+                let cursor = SetupCursor::new(reply.mode());
+                Ok(State::Live(Stage::Setup(Box::new(Setup { batch, source, cursor }))))
+            }
+            Stage::Setup(mut setup) => match setup.cursor.step(&mut self.replay, rng) {
+                Ok(None) => Ok(State::Live(Stage::Setup(setup))),
+                Ok(Some(session)) => {
+                    let Setup { batch, source, .. } = *setup;
+                    self.after_setup(session, batch, source).map_err(|e| (None, e))
+                }
+                Err(e) => Err((Some(Stage::Setup(setup)), e)),
+            },
+            Stage::Offline(mut cursor) => {
+                if let Err(e) = cursor.step(&mut self.replay, &self.server.model, rng) {
+                    return Err((Some(Stage::Offline(cursor)), e));
+                }
+                if cursor.is_done() {
+                    self.finish_offline(*cursor).map_err(|e| (None, e))
                 } else {
-                    Ok(State::Offline { session, batch })
+                    Ok(State::Live(Stage::Offline(cursor)))
                 }
             }
-            State::Offline { session, batch } => {
-                let batch = *batch;
-                ch.mark_phase("offline");
-                let state = self.server.offline_with(ch, session.clone(), batch, rng)?;
-                self.checkpoint = Some(state.to_bundle());
-                Ok(State::Online { state })
-            }
-            State::Online { state } => {
-                ch.mark_phase("online");
-                self.server.online(ch, state.clone())?;
-                ch.flush()?;
-                Ok(State::Done)
-            }
-            State::Done | State::Failed(_) => unreachable!("step() returns before run_phase"),
+            Stage::Online(mut cursor) => match cursor.step(&mut self.replay, &self.server.model) {
+                Ok(None) => Ok(State::Live(Stage::Online(cursor))),
+                Ok(Some(y0)) => self.finish_online(&y0).map_err(|e| (None, e)),
+                Err(e) => Err((Some(Stage::Online(cursor)), e)),
+            },
         }
+    }
+
+    /// Routes an established session by where its offline state comes
+    /// from: generate it, resume it, or ship a pooled bundle.
+    fn after_setup(
+        &mut self,
+        session: ServerSession,
+        batch: usize,
+        source: Source,
+    ) -> Result<State, ProtocolError> {
+        match source {
+            Source::Resume(bundle) => {
+                if bundle.batch != batch {
+                    return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
+                }
+                self.checkpoint = Some(bundle.clone());
+                self.enter_online(ServerOffline::from_bundle(session, bundle))
+            }
+            Source::Pooled(sb, cb) => {
+                let ch = &mut self.replay;
+                ch.mark_phase("bundle");
+                ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
+                ch.flush()?;
+                let state = ServerOffline::from_bundle(session, sb);
+                self.checkpoint = Some(state.to_bundle());
+                self.enter_online(state)
+            }
+            Source::Cold => {
+                self.replay.mark_phase("offline");
+                let sg = self.server.secure_graph(batch)?;
+                let cursor = OfflineCursor::new(session, sg, self.server.exec);
+                if cursor.is_done() {
+                    self.finish_offline(cursor)
+                } else {
+                    Ok(State::Live(Stage::Offline(Box::new(cursor))))
+                }
+            }
+        }
+    }
+
+    fn finish_offline(&mut self, cursor: OfflineCursor) -> Result<State, ProtocolError> {
+        let state = cursor.finish();
+        self.checkpoint = Some(state.to_bundle());
+        self.enter_online(state)
+    }
+
+    fn finish_online(&mut self, y0: &Matrix) -> Result<State, ProtocolError> {
+        self.server.send_output(&mut self.replay, y0)?;
+        self.replay.flush()?;
+        Ok(State::Done)
+    }
+
+    fn enter_online(&mut self, state: ServerOffline) -> Result<State, ProtocolError> {
+        self.replay.mark_phase("online");
+        let sg = self.server.secure_graph(state.batch)?;
+        let cursor = OnlineCursor::new(state, sg, self.server.exec)?;
+        Ok(State::Live(Stage::Online(Box::new(cursor))))
     }
 }
 
@@ -494,6 +607,10 @@ pub struct DriveStats {
     /// How many times the driver parked on a missing frame and was fed
     /// one from the transport.
     pub suspensions: u32,
+    /// Step attempts that starved and ran again
+    /// ([`SessionDriver::replayed_steps`]); never more than
+    /// `suspensions`.
+    pub replayed_steps: u32,
 }
 
 /// Runs a [`SessionDriver`] to completion over a blocking transport,
@@ -526,6 +643,7 @@ pub fn drive_frames<T: Transport, H: SessionHost>(
                 DriverEffect::Recv { .. } => {}
             }
         }
+        stats.replayed_steps = driver.replayed_steps();
         match step {
             DriverStep::Done => return Ok(stats),
             DriverStep::Failed(e) => return Err(e),

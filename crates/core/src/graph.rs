@@ -6,10 +6,12 @@
 //! implementation: [`SecureGraph`] pins a validated graph to a batch size,
 //! the **planner** ([`SecureGraph::plan`]) emits one [`TripletPlan`] per
 //! linear op (dimensions, batch `o`, message-layout mode), and the
-//! **executor** halves ([`server_offline_with`] / [`server_online_to_logits`]
-//! and [`client_offline_with`] / [`client_online_to_logits`]) walk the same
-//! op sequence consuming planned state. `SecureServer`/`SecureClient` and
-//! `CnnServer`/`CnnClient` are thin adapters over these functions.
+//! **executor** halves walk the same op sequence consuming planned state:
+//! the client's [`client_offline_with`] / [`client_online_to_logits`] here,
+//! and the server's step-at-a-time cursors in the private `stepper`
+//! module, which the blocking `SecureServer` calls and the suspendable
+//! [`crate::driver::SessionDriver`] share. `SecureServer`/`SecureClient`
+//! and `CnnServer`/`CnnClient` are thin adapters over these.
 //!
 //! The executor's state invariant, per party:
 //!
@@ -30,18 +32,15 @@
 //! `online:op2/relu`, so metering transports report bytes and time per
 //! layer while plain transports ignore the calls.
 
-use crate::cnn::{maxpool_client, maxpool_server, PublicCnnInfo};
+use crate::cnn::{maxpool_client, PublicCnnInfo};
 use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
-use crate::inference::{ClientOffline, PublicModelInfo, PublicTransformerInfo, ServerOffline};
-use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares, MatrixTriple};
-use crate::matmul::{triplet_client_with, triplet_server_with, TripletMode};
-use crate::nonlinear::{
-    gelu_client, gelu_server, layernorm_client, layernorm_server, matmul_close_client,
-    matmul_close_server, softmax_client, softmax_server,
-};
-use crate::relu::{relu_client, relu_server};
-use crate::session::{ClientSession, ServerSession};
+use crate::inference::{ClientOffline, PublicModelInfo, PublicTransformerInfo};
+use crate::matbeaver::{generate_matrix_p1, mul_matrix_shares, MatrixTriple};
+use crate::matmul::{triplet_client_with, TripletMode};
+use crate::nonlinear::{gelu_client, layernorm_client, matmul_close_client, softmax_client};
+use crate::relu::relu_client;
+use crate::session::ClientSession;
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
 use abnn2_net::Transport;
@@ -490,7 +489,7 @@ pub fn weight_product(weights: &[i64], m: usize, n: usize, r: &Matrix, ring: Rin
     wr
 }
 
-fn check_shapes(
+pub(crate) fn check_shapes(
     matrices: &[Matrix],
     shapes: &[(usize, usize)],
     what: &'static str,
@@ -503,7 +502,10 @@ fn check_shapes(
     Ok(())
 }
 
-fn check_mat_shapes(mats: &[MatrixTriple], plans: &[MatmulPlan]) -> Result<(), ProtocolError> {
+pub(crate) fn check_mat_shapes(
+    mats: &[MatrixTriple],
+    plans: &[MatmulPlan],
+) -> Result<(), ProtocolError> {
     if mats.len() != plans.len() || mats.iter().zip(plans).any(|(t, p)| !t.fits(p.m, p.k, p.n)) {
         return Err(ProtocolError::Malformed("offline state does not fit the graph"));
     }
@@ -515,83 +517,13 @@ fn check_mat_shapes(mats: &[MatrixTriple], plans: &[MatmulPlan]) -> Result<(), P
 /// `B` row-major as `n × k`; transposition is linear, so each party
 /// transposes its share locally and the matrix triple never sees the
 /// storage layout.
-fn reshape_rhs(slot: &Matrix, k: usize, n: usize, transpose_b: bool) -> Matrix {
+pub(crate) fn reshape_rhs(slot: &Matrix, k: usize, n: usize, transpose_b: bool) -> Matrix {
     let data = slot.as_slice().to_vec();
     if transpose_b {
         Matrix::new(n, k, data).transpose()
     } else {
         Matrix::new(k, n, data)
     }
-}
-
-/// Offline phase, server half: walks the op sequence generating one §4.1
-/// triplet per linear op and one matrix Beaver triple per secret×secret
-/// matmul op over an established session. The Gilboa cross products behind
-/// matrix triples run over a dedicated IKNP pair, set up lazily at the
-/// first matmul op — graphs without matmul ops (MLP/CNN) send exactly the
-/// same bytes as before the extension.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError`] on any subprotocol failure.
-pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
-    ch: &mut T,
-    mut session: ServerSession,
-    model: &ServedModel,
-    sg: &SecureGraph,
-    exec: ExecConfig,
-    rng: &mut R,
-) -> Result<ServerOffline, ProtocolError> {
-    let config = &sg.graph().config;
-    let (ring, scheme) = (config.ring, config.scheme.clone());
-    // Parallel offline schedule: worker threads for local OT compute only,
-    // the wire transcript is byte-identical for any thread count.
-    session.kk.set_threads(exec.threads);
-    let plans = sg.plan();
-    let mut pi = 0usize;
-    let mut us = Vec::with_capacity(sg.graph().linear_count());
-    let mut mats = Vec::with_capacity(sg.graph().matmul_count());
-    let mut ots: Option<(IknpReceiver, IknpSender)> = None;
-    for (i, op) in sg.graph().ops.iter().enumerate() {
-        match op.resource() {
-            OpResource::Triplet { m, n } => {
-                let plan = plans[pi];
-                pi += 1;
-                let (weights, _) = model.linear_params(plan.linear);
-                if weights.len() != m * n {
-                    return Err(ProtocolError::Dimension("model does not match graph"));
-                }
-                ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
-                us.push(triplet_server_with(
-                    ch,
-                    &mut session.kk,
-                    weights,
-                    plan.m,
-                    plan.n,
-                    plan.o,
-                    &scheme,
-                    ring,
-                    exec.triplet(plan.mode),
-                )?);
-            }
-            OpResource::MatTriple { m, k, n } => {
-                ch.mark_phase(&format!("offline:op{i}/matmulss"));
-                let pair = match &mut ots {
-                    Some(pair) => pair,
-                    slot @ None => {
-                        let mut r = IknpReceiver::setup(ch, rng)?;
-                        let mut s = IknpSender::setup(ch, rng)?;
-                        r.set_threads(exec.threads);
-                        s.set_threads(exec.threads);
-                        slot.insert((r, s))
-                    }
-                };
-                mats.push(generate_matrix_p0(ch, &mut pair.0, &mut pair.1, m, k, n, ring, rng)?);
-            }
-            OpResource::FreshMask { .. } | OpResource::Output => {}
-        }
-    }
-    Ok(ServerOffline { session, us, mats, batch: sg.batch() })
 }
 
 /// Offline phase, client half: walks the graph as a tape machine sampling
@@ -706,123 +638,6 @@ pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
         tape.push(out);
     }
     Ok(ClientOffline { session, rs, vs, mats, batch })
-}
-
-/// Online phase, server half: receives the blinded input, walks the graph
-/// combining planned triplets with garbled-circuit re-shares, and returns
-/// the session plus the server's share of the output op's input — the
-/// caller decides whether to open it ([`crate::SecureServer::online`]) or
-/// feed it to a masked argmax ([`crate::SecureServer::online_classify`]).
-///
-/// # Errors
-///
-/// [`ProtocolError::Malformed`] on a blinded input of the wrong length or
-/// offline state that does not fit the graph; any subprotocol error
-/// otherwise.
-pub fn server_online_to_logits<T: Transport>(
-    ch: &mut T,
-    state: ServerOffline,
-    model: &ServedModel,
-    sg: &SecureGraph,
-    exec: ExecConfig,
-) -> Result<(ServerSession, Matrix), ProtocolError> {
-    let ServerOffline { mut session, us, mats, batch } = state;
-    let config = &sg.graph().config;
-    let (ring, f, fw) = (config.ring, config.frac_bits, config.weight_frac_bits);
-    if batch != sg.batch() {
-        return Err(ProtocolError::Malformed("offline state batch mismatch"));
-    }
-    check_shapes(&us, &sg.triplet_shapes(), "offline state does not fit the graph")?;
-    check_mat_shapes(&mats, &sg.matmul_plans())?;
-
-    ch.mark_phase("online:input");
-    let n0 = sg.graph().input_len();
-    let BlindedInput(x0_bytes) = ch.recv_frame()?;
-    if x0_bytes.len() != n0 * batch * ring.byte_len() {
-        return Err(ProtocolError::Malformed("blinded input length"));
-    }
-    let mut tape: Vec<Matrix> = Vec::with_capacity(sg.graph().ops.len() + 1);
-    tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
-
-    let (mut li, mut qi) = (0usize, 0usize);
-    for (i, op) in sg.graph().ops.iter().enumerate() {
-        ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
-        let out = match *op {
-            LayerOp::Dense { out_dim, in_dim } => {
-                let (weights, bias) = model.linear_params(li);
-                let y = linear_share(weights, bias, out_dim, in_dim, &tape[i], &us[li], ring);
-                li += 1;
-                y
-            }
-            LayerOp::Linear { out_dim, in_dim, src } => {
-                let (weights, bias) = model.linear_params(li);
-                let y = linear_share(weights, bias, out_dim, in_dim, &tape[src], &us[li], ring);
-                li += 1;
-                y
-            }
-            LayerOp::Conv { out_channels, in_shape, kh, kw, stride } => {
-                let (weights, bias) = model.linear_params(li);
-                let x_col = im2col(tape[i].as_slice(), in_shape, kh, kw, stride);
-                let patch = in_shape.channels * kh * kw;
-                let y = linear_share(weights, bias, out_channels, patch, &x_col, &us[li], ring);
-                li += 1;
-                y
-            }
-            LayerOp::Relu { dim } => {
-                let z0 =
-                    relu_server(ch, &mut session.yao, tape[i].as_slice(), ring, fw, exec.variant)?;
-                Matrix::new(dim, batch, z0)
-            }
-            LayerOp::MaxPool { shape, window } => {
-                let pooled =
-                    maxpool_server(ch, &mut session.yao, tape[i].as_slice(), shape, window, ring)?;
-                Matrix::column(pooled)
-            }
-            LayerOp::MatMulSS { m, k, n, transpose_b, shift, a_src, b_src } => {
-                let a = Matrix::new(m, k, tape[a_src].as_slice().to_vec());
-                let b = reshape_rhs(&tape[b_src], k, n, transpose_b);
-                let p0 = mul_matrix_shares(ch, &mats[qi], &a, &b, ring, 0)?;
-                qi += 1;
-                let z0 = matmul_close_server(ch, &mut session.yao, p0.as_slice(), ring, shift)?;
-                Matrix::new(m * n, batch, z0)
-            }
-            LayerOp::Softmax { rows, cols, shift } => {
-                let z0 = softmax_server(
-                    ch,
-                    &mut session.yao,
-                    tape[i].as_slice(),
-                    rows,
-                    cols,
-                    ring,
-                    shift,
-                    f,
-                )?;
-                Matrix::new(rows * cols, batch, z0)
-            }
-            LayerOp::Gelu { dim, shift } => {
-                let z0 = gelu_server(ch, &mut session.yao, tape[i].as_slice(), ring, shift, f)?;
-                Matrix::new(dim, batch, z0)
-            }
-            LayerOp::LayerNorm { tokens, dim, a_src, b_src, shift_a, shift_b } => {
-                let z0 = layernorm_server(
-                    ch,
-                    &mut session.yao,
-                    tape[a_src].as_slice(),
-                    tape[b_src].as_slice(),
-                    tokens,
-                    dim,
-                    ring,
-                    shift_a,
-                    shift_b,
-                    f,
-                )?;
-                Matrix::new(tokens * dim, batch, z0)
-            }
-            LayerOp::Output { .. } => return Ok((session, tape[i].clone())),
-        };
-        tape.push(out);
-    }
-    Err(ProtocolError::Dimension("graph missing output op"))
 }
 
 /// Online phase, client half: blinds the input with the offline mask,

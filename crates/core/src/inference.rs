@@ -24,13 +24,13 @@ use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::ExecConfig;
 use crate::frames::OutputShares;
 use crate::graph::{
-    client_offline_with, client_online_to_logits, server_offline_with, server_online_to_logits,
-    PublicModel, SecureGraph, ServedModel,
+    client_offline_with, client_online_to_logits, PublicModel, SecureGraph, ServedModel,
 };
 use crate::handshake::{handshake_client_ext, handshake_server_ext, HelloRequest, SessionParams};
 use crate::matbeaver::MatrixTriple;
 use crate::relu::ReluVariant;
 use crate::session::{ClientSession, ServerSession};
+use crate::stepper::{OfflineCursor, OnlineCursor};
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
 use abnn2_net::Transport;
@@ -330,8 +330,11 @@ impl SecureServer {
         batch: usize,
         rng: &mut R,
     ) -> Result<ServerOffline, ProtocolError> {
-        let sg = self.secure_graph(batch)?;
-        server_offline_with(ch, session, &self.model, &sg, self.exec, rng)
+        let mut cursor = OfflineCursor::new(session, self.secure_graph(batch)?, self.exec);
+        while !cursor.is_done() {
+            cursor.step(ch, &self.model, rng)?;
+        }
+        Ok(cursor.finish())
     }
 
     /// Online phase: consumes offline state, processes one batch, opening
@@ -345,11 +348,19 @@ impl SecureServer {
         ch: &mut T,
         state: ServerOffline,
     ) -> Result<(), ProtocolError> {
+        let (_, y0) = self.online_to_logits(ch, state)?;
+        self.send_output(ch, &y0)
+    }
+
+    /// Sends the server's logit shares — the last message of the online
+    /// phase.
+    pub(crate) fn send_output<T: Transport>(
+        &self,
+        ch: &mut T,
+        y0: &Matrix,
+    ) -> Result<(), ProtocolError> {
         let ring = self.model.config().ring;
-        let sg = self.secure_graph(state.batch)?;
-        let (_, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
-        ch.send_frame(&OutputShares(ring.encode_slice(y0.as_slice())))?;
-        Ok(())
+        Ok(ch.send_frame(&OutputShares(ring.encode_slice(y0.as_slice())))?)
     }
 
     /// Classification-only online phase (extension): instead of opening the
@@ -366,12 +377,27 @@ impl SecureServer {
     ) -> Result<(), ProtocolError> {
         let ring = self.model.config().ring;
         let batch = state.batch;
-        let sg = self.secure_graph(batch)?;
-        let (mut session, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
+        let (mut session, y0) = self.online_to_logits(ch, state)?;
         for k in 0..batch {
             crate::argmax::argmax_server(ch, &mut session.yao, &y0.col(k), ring)?;
         }
         Ok(())
+    }
+
+    /// The online walk up to the output op: the session plus the server's
+    /// share of the output op's input.
+    fn online_to_logits<T: Transport>(
+        &self,
+        ch: &mut T,
+        state: ServerOffline,
+    ) -> Result<(ServerSession, Matrix), ProtocolError> {
+        let sg = self.secure_graph(state.batch)?;
+        let mut cursor = OnlineCursor::new(state, sg, self.exec)?;
+        loop {
+            if let Some(y0) = cursor.step(ch, &self.model)? {
+                return Ok((cursor.into_session(), y0));
+            }
+        }
     }
 
     /// Convenience: offline followed by online, run through the

@@ -62,6 +62,7 @@ pub mod relu;
 pub mod resilient;
 pub mod session;
 pub mod sharing;
+mod stepper;
 
 /// Offline OT-extension backend selection, re-exported for frontends
 /// that key pools and negotiate capability without depending on

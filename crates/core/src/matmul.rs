@@ -17,7 +17,7 @@ use crate::frames::TripletMasked;
 use crate::ProtocolError;
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::Transport;
-use abnn2_ot::{FragmentChooser, FragmentSender};
+use abnn2_ot::{FragmentChooser, FragmentChooserKeys, FragmentSender};
 use rand::Rng;
 
 /// Which §4.1 message layout to use.
@@ -130,24 +130,97 @@ pub fn triplet_server_with<T: Transport>(
     ring: Ring,
     cfg: TripletConfig,
 ) -> Result<Matrix, ProtocolError> {
-    if weights.len() != m * n {
-        return Err(ProtocolError::Dimension("weights length must be m*n"));
+    let mut cursor = TripletCursor::new(weights, m, n, o, scheme, cfg)?;
+    loop {
+        if let Some(u) = cursor.step(ch, kk, ring)? {
+            return Ok(u);
+        }
     }
-    if !weights.iter().all(|&w| scheme.contains(w)) {
-        return Err(ProtocolError::Dimension("weight outside scheme domain"));
-    }
-    let mode = cfg.mode;
-    let digits: Vec<Vec<u64>> = weights.iter().map(|&w| scheme.decompose(w)).collect();
-    let elem_len = o * ring.byte_len();
-    let mut u = Matrix::zeros(m, o);
+}
 
-    for (g, frag) in scheme.fragments().iter().enumerate() {
-        let choices: Vec<u64> = digits.iter().map(|d| d[g]).collect();
-        let keys = kk.extend(ch, &choices, frag.n)?;
+/// The server half of one triplet, split at its suspension points: per
+/// fragment, one step extends the fragment OTs and the next receives and
+/// decodes the client's masked messages. A step mutates the cursor only
+/// after its last recv, so the session driver can re-run exactly the
+/// step that parked on a missing frame (it hands the extension step a
+/// copy of the chooser for the same reason).
+#[derive(Debug)]
+pub(crate) struct TripletCursor {
+    m: usize,
+    n: usize,
+    o: usize,
+    cfg: TripletConfig,
+    /// `choices[g][idx]`: digit `g` of weight `idx`, the fragment-`g` OT
+    /// choice symbol.
+    choices: Vec<Vec<u64>>,
+    /// Radix `N` of each fragment.
+    radices: Vec<u64>,
+    /// Fragments fully decoded into `u`.
+    frag: usize,
+    /// Keys of the current fragment's extension, awaiting its masked
+    /// messages.
+    keys: Option<FragmentChooserKeys>,
+    u: Matrix,
+}
+
+impl TripletCursor {
+    /// Validates the weights against `m × n` and the scheme's domain and
+    /// decomposes them into per-fragment choice symbols.
+    pub(crate) fn new(
+        weights: &[i64],
+        m: usize,
+        n: usize,
+        o: usize,
+        scheme: &FragmentScheme,
+        cfg: TripletConfig,
+    ) -> Result<Self, ProtocolError> {
+        if weights.len() != m * n {
+            return Err(ProtocolError::Dimension("weights length must be m*n"));
+        }
+        if !weights.iter().all(|&w| scheme.contains(w)) {
+            return Err(ProtocolError::Dimension("weight outside scheme domain"));
+        }
+        let digits: Vec<Vec<u64>> = weights.iter().map(|&w| scheme.decompose(w)).collect();
+        let radices: Vec<u64> = scheme.fragments().iter().map(|f| f.n).collect();
+        let choices = (0..radices.len()).map(|g| digits.iter().map(|d| d[g]).collect()).collect();
+        Ok(TripletCursor {
+            m,
+            n,
+            o,
+            cfg,
+            choices,
+            radices,
+            frag: 0,
+            keys: None,
+            u: Matrix::zeros(m, o),
+        })
+    }
+
+    /// Whether the next step receives masked messages (otherwise it
+    /// extends, mutating the chooser).
+    pub(crate) fn awaiting_masks(&self) -> bool {
+        self.keys.is_some()
+    }
+
+    /// Runs the next step; returns `U` after the last fragment's decode.
+    pub(crate) fn step<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        kk: &mut FragmentChooser,
+        ring: Ring,
+    ) -> Result<Option<Matrix>, ProtocolError> {
+        let g = self.frag;
+        let Some(keys) = &self.keys else {
+            self.keys = Some(kk.extend(ch, &self.choices[g], self.radices[g])?);
+            return Ok(None);
+        };
+        let (m, n, o, mode) = (self.m, self.n, self.o, self.cfg.mode);
+        let choices = &self.choices[g];
+        let elem_len = o * ring.byte_len();
         let TripletMasked(data) = ch.recv_frame()?;
         let per_ot = match mode {
-            TripletMode::MultiBatch => frag.n as usize,
-            TripletMode::OneBatch => frag.n as usize - 1,
+            TripletMode::MultiBatch => self.radices[g] as usize,
+            TripletMode::OneBatch => self.radices[g] as usize - 1,
         };
         if data.len() != m * n * per_ot * elem_len {
             return Err(ProtocolError::Malformed("triplet ciphertext batch length"));
@@ -188,12 +261,17 @@ pub fn triplet_server_with<T: Transport>(
             }
             u_part
         };
-        let u_frag = run_sharded(m * n, cfg.threads, &decode_range)
+        let u_frag = run_sharded(m * n, self.cfg.threads, &decode_range)
             .into_iter()
             .fold(Matrix::zeros(m, o), |acc, part| acc.add(&part, &ring));
-        u = u.add(&u_frag, &ring);
+        self.u = self.u.add(&u_frag, &ring);
+        self.keys = None;
+        self.frag += 1;
+        if self.frag < self.radices.len() {
+            return Ok(None);
+        }
+        Ok(Some(std::mem::replace(&mut self.u, Matrix::zeros(m, o))))
     }
-    Ok(u)
 }
 
 /// SplitMix64 finalizer: decorrelates the per-OT mask streams derived

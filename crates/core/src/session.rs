@@ -61,15 +61,54 @@ impl ServerSession {
         mode: OfflineMode,
         rng: &mut R,
     ) -> Result<Self, ProtocolError> {
-        let kk = FragmentChooser::setup(ch, mode, rng)?;
-        let yao = YaoEvaluator::setup(ch, rng)?;
-        Ok(ServerSession { kk, yao })
+        let mut cursor = SetupCursor::new(mode);
+        loop {
+            if let Some(session) = cursor.step(ch, rng)? {
+                return Ok(session);
+            }
+        }
     }
 
     /// The offline mode this session was established with.
     #[must_use]
     pub fn mode(&self) -> OfflineMode {
         self.kk.mode()
+    }
+}
+
+/// Server session setup split at its suspension points: one step runs
+/// the fragment-OT base setup, the next the Yao base setup. A step that
+/// fails leaves the cursor as it was, so the session driver can re-run
+/// exactly the step that parked on a missing frame.
+#[derive(Debug)]
+pub(crate) struct SetupCursor {
+    mode: OfflineMode,
+    /// The fragment chooser, once its step has completed.
+    kk: Option<FragmentChooser>,
+}
+
+impl SetupCursor {
+    pub(crate) fn new(mode: OfflineMode) -> Self {
+        SetupCursor { mode, kk: None }
+    }
+
+    /// Runs the next setup step; returns the session after the last one.
+    pub(crate) fn step<T: Transport, R: Rng + ?Sized>(
+        &mut self,
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<Option<ServerSession>, ProtocolError> {
+        let Some(kk) = self.kk.take() else {
+            self.kk = Some(FragmentChooser::setup(ch, self.mode, rng)?);
+            return Ok(None);
+        };
+        match YaoEvaluator::setup(ch, rng) {
+            Ok(yao) => Ok(Some(ServerSession { kk, yao })),
+            Err(e) => {
+                self.kk = Some(kk);
+                Err(e.into())
+            }
+        }
     }
 }
 

@@ -184,16 +184,6 @@ impl InstrumentHandle {
         }
     }
 
-    /// Attributes one received message to its leading tag byte.
-    fn record_tag_recv(&self, payload: &[u8]) {
-        if let Some((&tag, rest)) = payload.split_first() {
-            let mut tags = self.tags.lock().expect("instrument lock");
-            let entry = tags.entry(tag).or_default();
-            entry.bytes_received += rest.len() as u64;
-            entry.messages_received += 1;
-        }
-    }
-
     fn push(&self, name: &str) {
         self.phases
             .lock()
@@ -248,11 +238,23 @@ impl<T: Transport> InstrumentedTransport<T> {
         self.inner
     }
 
-    /// Mutable access to the inner transport — e.g. to stage data a
-    /// subsequent metered `recv` will observe. Operations through this
-    /// reference bypass the counters.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
+    /// Meters one received frame of `len` bytes (tag byte included) led
+    /// by `tag`, exactly as a [`recv`](Transport::recv) of that frame
+    /// would — for hosts that consume frames elsewhere and mirror only
+    /// their shape here. An empty frame (`len == 0`) counts toward the
+    /// phase but carries no tag.
+    pub fn record_recv(&mut self, tag: u8, len: usize) {
+        self.roll_clock();
+        self.handle.with_current(|s| {
+            s.bytes_received += len as u64;
+            s.messages_received += 1;
+        });
+        if let Some(rest) = len.checked_sub(1) {
+            let mut tags = self.handle.tags.lock().expect("instrument lock");
+            let entry = tags.entry(tag).or_default();
+            entry.bytes_received += rest as u64;
+            entry.messages_received += 1;
+        }
     }
 
     fn roll_clock(&mut self) {
@@ -295,12 +297,7 @@ impl<T: Transport> Transport for InstrumentedTransport<T> {
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         let payload = self.inner.recv()?;
-        self.roll_clock();
-        self.handle.with_current(|s| {
-            s.bytes_received += payload.len() as u64;
-            s.messages_received += 1;
-        });
-        self.handle.record_tag_recv(&payload);
+        self.record_recv(payload.first().copied().unwrap_or(0), payload.len());
         Ok(payload)
     }
 
@@ -390,6 +387,27 @@ mod tests {
         for _ in 0..3 {
             let _ = b.recv().unwrap();
         }
+    }
+
+    /// Metering a frame by shape counts exactly what receiving it does.
+    #[test]
+    fn record_recv_matches_a_metered_recv() {
+        let (a, mut b) = Endpoint::pair(NetworkModel::instant());
+        let mut received = InstrumentedTransport::new(a);
+        let (c, _d) = Endpoint::pair(NetworkModel::instant());
+        let mut recorded = InstrumentedTransport::new(c);
+        for frame in [vec![7u8, 1, 2, 3], vec![9u8], Vec::new()] {
+            b.send(&frame).unwrap();
+            let got = received.recv().unwrap();
+            recorded.record_recv(got.first().copied().unwrap_or(0), got.len());
+        }
+        let strip = |phases: Vec<(String, PhaseStats)>| -> Vec<(String, u64, u64)> {
+            phases.into_iter().map(|(n, s)| (n, s.bytes_received, s.messages_received)).collect()
+        };
+        assert_eq!(strip(received.phases()), strip(recorded.phases()));
+        assert_eq!(received.handle().tags(), recorded.handle().tags());
+        assert_eq!(recorded.handle().tag(7).bytes_received, 3);
+        assert_eq!(recorded.phase("setup").unwrap().messages_received, 3);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use rand::Rng;
 pub(crate) const PAR_MIN_OTS: usize = 4096;
 
 /// Sender side of IKNP extension (holds the message pairs).
+#[derive(Clone)]
 pub struct IknpSender {
     s_bits: Vec<bool>,
     s_block: Block,

@@ -36,6 +36,10 @@ pub struct MetricsSnapshot {
     /// Event-loop workers the supervisor respawned after detecting a
     /// dead or wedged worker thread.
     pub worker_respawns: u64,
+    /// Session-driver step attempts that starved on a missing frame and
+    /// ran again once it arrived (at most one per suspension): the replay
+    /// share of a slow session's compute.
+    pub replayed_steps: u64,
     /// Sessions currently being served by a worker.
     pub active: u64,
     /// Precompute-pool counters (zeroed when the pool is disabled).
@@ -125,6 +129,11 @@ impl MetricsSnapshot {
             "abnn2_serve_worker_respawns_total",
             "Event-loop workers respawned by the supervisor.",
             self.worker_respawns,
+        );
+        counter(
+            "abnn2_serve_driver_replayed_steps_total",
+            "Session-driver steps re-run after starving on a missing frame.",
+            self.replayed_steps,
         );
         counter(
             "abnn2_serve_pool_produced_total",
@@ -302,6 +311,7 @@ pub struct MetricsRegistry {
     evicted: AtomicU64,
     panicked: AtomicU64,
     worker_respawns: AtomicU64,
+    replayed_steps: AtomicU64,
     active: AtomicU64,
     phases: Mutex<PhaseAggregate>,
 }
@@ -363,6 +373,12 @@ impl MetricsRegistry {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records session-driver steps re-run after starving on a missing
+    /// frame.
+    pub fn steps_replayed(&self, steps: u32) {
+        self.replayed_steps.fetch_add(u64::from(steps), Ordering::Relaxed);
+    }
+
     /// Adds a session's instrument handle to the per-phase aggregation.
     /// Finished sessions are folded into the frozen totals as a side
     /// effect, bounding live-handle growth.
@@ -385,6 +401,7 @@ impl MetricsRegistry {
             evicted: self.evicted.load(Ordering::Relaxed),
             panicked: self.panicked.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
+            replayed_steps: self.replayed_steps.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed),
             pool,
             phases: agg.totals(),
@@ -408,6 +425,8 @@ mod tests {
         reg.session_ended(true);
         reg.session_started();
         reg.session_ended(false);
+        reg.steps_replayed(3);
+        reg.steps_replayed(2);
 
         let (a, mut b) = Endpoint::pair(NetworkModel::instant());
         let mut t = InstrumentedTransport::new(a);
@@ -422,6 +441,7 @@ mod tests {
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.active, 0);
+        assert_eq!(snap.replayed_steps, 5);
         // One u64 frame: 1 tag byte + 8 payload bytes.
         assert_eq!(snap.phase("online").bytes_sent, 9);
         assert_eq!(snap.phase("nonexistent"), PhaseStats::default());
@@ -438,6 +458,7 @@ mod tests {
         reg.connection_rejected();
         reg.session_started();
         reg.session_ended(true);
+        reg.steps_replayed(4);
 
         let (a, mut b) = Endpoint::pair(NetworkModel::instant());
         let mut t = InstrumentedTransport::new(a);
@@ -451,6 +472,7 @@ mod tests {
         assert!(text.contains("abnn2_serve_connections_rejected_total 1"));
         assert!(text.contains("abnn2_serve_sessions_completed_total 1"));
         assert!(text.contains("abnn2_serve_sessions_active 0"));
+        assert!(text.contains("abnn2_serve_driver_replayed_steps_total 4"));
         // One u64 frame in the online phase: 9 bytes with the tag byte...
         assert!(
             text.contains("abnn2_serve_phase_bytes_total{phase=\"online\",direction=\"sent\"} 9")

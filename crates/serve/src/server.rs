@@ -533,12 +533,11 @@ fn retry_after_hint(shared: &Shared) -> u32 {
 }
 
 /// Sink inner transport for the per-session metrics meter: sends vanish
-/// (the real bytes ride the [`FrameBuffer`]), and `recv` serves the one
-/// frame the event loop stuffed in to mirror a driver `Recv` effect.
-#[derive(Debug, Default)]
-struct SinkTransport {
-    queued: Option<Vec<u8>>,
-}
+/// (the real bytes ride the [`FrameBuffer`]) and nothing is ever received
+/// through it (driver `Recv` effects are metered by shape with
+/// [`InstrumentedTransport::record_recv`]).
+#[derive(Debug)]
+struct SinkTransport;
 
 impl Transport for SinkTransport {
     fn send(&mut self, _payload: &[u8]) -> Result<(), TransportError> {
@@ -546,7 +545,7 @@ impl Transport for SinkTransport {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.queued.take().ok_or(TransportError::WouldBlock)
+        Err(TransportError::WouldBlock)
     }
 
     fn snapshot(&self) -> CommSnapshot {
@@ -700,6 +699,8 @@ struct LiveSession<'a> {
     /// Whether the driver has entered the online phase (`Mark("online")`
     /// observed), for the chaos session-panic injection.
     online: bool,
+    /// The driver's replayed-step count already reported to the metrics.
+    replayed_steps: u32,
 }
 
 impl<'a> LiveSession<'a> {
@@ -710,7 +711,7 @@ impl<'a> LiveSession<'a> {
         rng: &mut StdRng,
     ) -> Result<Self, TransportError> {
         let fb = FrameBuffer::new(stream)?;
-        let meter = InstrumentedTransport::new(SinkTransport::default());
+        let meter = InstrumentedTransport::new(SinkTransport);
         shared.metrics.register(meter.handle());
         let driver = SessionDriver::new(
             Arc::clone(&shared.server),
@@ -728,6 +729,7 @@ impl<'a> LiveSession<'a> {
             inbound_bytes: 0,
             quota: None,
             online: false,
+            replayed_steps: 0,
         })
     }
 
@@ -769,6 +771,9 @@ impl<'a> LiveSession<'a> {
         }
 
         let step = self.driver.step();
+        let replayed = self.driver.replayed_steps();
+        shared.metrics.steps_replayed(replayed - self.replayed_steps);
+        self.replayed_steps = replayed;
         self.apply_effects(shared);
         // Push freshly queued (and any previously unfinished) output.
         let write_err: Option<ProtocolError> = self.fb.poll_write().err().map(Into::into);
@@ -854,17 +859,7 @@ impl<'a> LiveSession<'a> {
                     let _ = self.meter.send(&bytes);
                 }
                 DriverEffect::Flush => {}
-                DriverEffect::Recv { tag, len } => {
-                    // Synthesize a frame of the consumed shape: phase
-                    // stats count the full payload, tag stats key off the
-                    // leading byte.
-                    let mut frame = vec![0u8; len];
-                    if let Some(first) = frame.first_mut() {
-                        *first = tag;
-                    }
-                    self.meter.inner_mut().queued = Some(frame);
-                    let _ = self.meter.recv();
-                }
+                DriverEffect::Recv { tag, len } => self.meter.record_recv(tag, len),
                 DriverEffect::Mark(label) => {
                     self.meter.enter_phase(&label);
                     let deadlines = &shared.config.deadlines;

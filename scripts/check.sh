@@ -129,6 +129,13 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
+# The served-path benchmark is a workspace of its own that compiles
+# against SessionDriver, drive_frames, SecureServer::offline/online and
+# ServerSession::setup_with; build and unit-test it so an API change that
+# breaks it fails here rather than at benchmark time.
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [[ "${SERVE_SMOKE:-0}" == "1" ]]; then
   echo "==> serve smoke: 8 concurrent clients x 2 requests"
   cargo run --release --example serve_load -- --clients 8 --requests 2

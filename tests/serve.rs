@@ -99,6 +99,14 @@ fn eight_concurrent_clients_get_bit_identical_logits() {
     assert_eq!(metrics.failed, 0);
     assert_eq!(metrics.active, 0);
     assert!(metrics.accepted >= 8);
+    // Every session parks waiting on its client, and each park replays
+    // at most the one step it parked in, once a new frame has arrived.
+    let inbound: u64 = metrics.phases.iter().map(|(_, s)| s.messages_received).sum();
+    assert!(metrics.replayed_steps > 0, "parked sessions must report their replays");
+    assert!(metrics.replayed_steps <= inbound, "at most one replay per inbound frame");
+    assert!(metrics
+        .render_prometheus()
+        .contains(&format!("abnn2_serve_driver_replayed_steps_total {}", metrics.replayed_steps)));
 }
 
 #[test]
