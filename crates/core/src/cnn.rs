@@ -10,15 +10,13 @@
 //!
 //! The pipeline (conv → ReLU(+truncation) → max-pool → dense stack) lowers
 //! to the [`LayerGraph`] IR and runs on the shared planner/executor in
-//! [`crate::graph`]; [`CnnServer`] and [`CnnClient`] are single-sample
-//! convenience adapters over [`SecureServer`]/[`SecureClient`], which
-//! accept CNN models directly via
-//! [`SecureServer::for_model`]/[`SecureClient::for_model`]. Results match
+//! [`crate::graph`]: [`SecureServer::for_model`] and
+//! [`SecureClient::for_model`] accept CNN models directly. Results match
 //! [`QuantizedCnn::forward_exact`] share-for-share.
+//!
+//! [`SecureServer::for_model`]: crate::inference::SecureServer::for_model
+//! [`SecureClient::for_model`]: crate::inference::SecureClient::for_model
 
-use crate::config::ExecConfig;
-use crate::inference::{SecureClient, SecureServer};
-use crate::relu::ReluVariant;
 use crate::ProtocolError;
 use abnn2_gc::circuit::{bits_to_u64, u64_to_bits};
 use abnn2_gc::{circuits, YaoEvaluator, YaoGarbler};
@@ -146,138 +144,10 @@ pub fn maxpool_client<T: Transport, RNG: Rng + ?Sized>(
     Ok(())
 }
 
-/// The CNN-serving party: a single-sample adapter over [`SecureServer`]
-/// driving the shared graph executor.
-#[derive(Debug, Clone)]
-pub struct CnnServer {
-    inner: SecureServer,
-}
-
-impl CnnServer {
-    /// Serves a quantized CNN (batch size 1).
-    #[must_use]
-    pub fn new(net: QuantizedCnn) -> Self {
-        CnnServer { inner: SecureServer::for_model(net) }
-    }
-
-    /// Replaces the whole execution configuration.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.inner = self.inner.with_exec(exec);
-        self
-    }
-
-    /// Selects the activation variant (must match the client's).
-    #[must_use]
-    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
-        self.inner = self.inner.with_variant(variant);
-        self
-    }
-
-    /// Multi-core triplet generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
-    /// The public model description.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: a `CnnServer` always serves a CNN.
-    #[must_use]
-    pub fn public_info(&self) -> PublicCnnInfo {
-        match self.inner.public_model() {
-            crate::graph::PublicModel::Cnn(info) => info,
-            _ => unreachable!("CnnServer serves a CNN"),
-        }
-    }
-
-    /// Runs one secure prediction, server side (handshake, offline
-    /// triplets, online graph walk, logits opened toward the client).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on any subprotocol failure.
-    pub fn run<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        rng: &mut R,
-    ) -> Result<(), ProtocolError> {
-        self.inner.run(ch, 1, rng)
-    }
-}
-
-/// The CNN data-owning party: a single-sample adapter over
-/// [`SecureClient`] driving the shared graph executor.
-#[derive(Debug, Clone)]
-pub struct CnnClient {
-    inner: SecureClient,
-}
-
-impl CnnClient {
-    /// Creates a client for a served CNN.
-    #[must_use]
-    pub fn new(info: PublicCnnInfo) -> Self {
-        CnnClient { inner: SecureClient::for_model(info) }
-    }
-
-    /// Replaces the whole execution configuration.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.inner = self.inner.with_exec(exec);
-        self
-    }
-
-    /// Selects the activation variant (must match the server's).
-    #[must_use]
-    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
-        self.inner = self.inner.with_variant(variant);
-        self
-    }
-
-    /// Multi-core triplet generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
-    /// Runs one secure prediction over a fixed-point CHW image; returns the
-    /// reconstructed raw outputs at `f + f_w` fractional bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on any subprotocol failure, or
-    /// [`ProtocolError::Dimension`] if the image does not match the
-    /// model's input shape.
-    pub fn run<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        image_fp: &[u64],
-        rng: &mut R,
-    ) -> Result<Vec<u64>, ProtocolError> {
-        if image_fp.len() != self.inner.public_model().graph().input_len() {
-            return Err(ProtocolError::Dimension("image length mismatch"));
-        }
-        let state = self.inner.offline(ch, 1, rng)?;
-        let y = self.inner.online_raw(ch, state, &[image_fp.to_vec()], rng)?;
-        Ok(y.col(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inference::{SecureClient, SecureServer};
     use abnn2_math::FragmentScheme;
     use abnn2_net::{run_pair, NetworkModel};
     use abnn2_nn::conv::QuantizedConv;
@@ -327,22 +197,23 @@ mod tests {
             .collect();
         let expect = cnn.forward_exact(&image);
 
-        let server = CnnServer::new(cnn.clone());
-        let client = CnnClient::new(server.public_info());
+        let server = SecureServer::for_model(cnn.clone());
+        let client = SecureClient::for_model(server.public_model());
         let image2 = image.clone();
         let (srv, got, _) = run_pair(
             NetworkModel::instant(),
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 2);
-                server.run(ch, &mut rng)
+                server.run(ch, 1, &mut rng)
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
-                client.run(ch, &image2, &mut rng).expect("client")
+                let state = client.offline(ch, 1, &mut rng).expect("offline");
+                client.online_raw(ch, state, &[image2], &mut rng).expect("client")
             },
         );
         srv.expect("server");
-        assert_eq!(got, expect, "secure CNN must equal forward_exact");
+        assert_eq!(got.col(0), expect, "secure CNN must equal forward_exact");
     }
 
     #[test]
@@ -356,16 +227,28 @@ mod tests {
     }
 
     #[test]
-    fn wrong_image_length_rejected_before_any_io() {
+    fn wrong_image_length_rejected_before_any_online_io() {
         let cnn = small_cnn(240, FragmentScheme::ternary());
-        let client = CnnClient::new(PublicCnnInfo::from(&cnn));
-        let (mut a, _b) = abnn2_net::Endpoint::pair(NetworkModel::instant());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(241);
-        assert_eq!(
-            client.run(&mut a, &[0u64; 3], &mut rng).err(),
-            Some(ProtocolError::Dimension("image length mismatch"))
+        let server = SecureServer::for_model(cnn);
+        let client = SecureClient::for_model(server.public_model());
+        let (srv, (), _) = run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(241);
+                server.run(ch, 1, &mut rng)
+            },
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(242);
+                let state = client.offline(ch, 1, &mut rng).expect("offline");
+                let sent = ch.snapshot().bytes_sent;
+                assert_eq!(
+                    client.online_raw(ch, state, &[vec![0u64; 3]], &mut rng).err(),
+                    Some(ProtocolError::Dimension("input dimension mismatch"))
+                );
+                assert_eq!(ch.snapshot().bytes_sent, sent, "no online traffic before the check");
+            },
         );
-        assert_eq!(a.snapshot().bytes_sent, 0, "no traffic before the check");
+        assert!(srv.is_err(), "the server must see the client walk away");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Shared execution options for the secure-inference parties.
 //!
-//! [`SecureServer`](crate::inference::SecureServer),
-//! [`SecureClient`](crate::inference::SecureClient),
-//! [`CnnServer`](crate::cnn::CnnServer) and [`CnnClient`](crate::cnn::CnnClient)
-//! all carry the same two knobs — the activation variant and the triplet
+//! [`SecureServer`](crate::inference::SecureServer) and
+//! [`SecureClient`](crate::inference::SecureClient) both carry the same
+//! two knobs — the activation variant and the triplet
 //! worker-thread count — with the same defaults and the same validation.
 //! [`ExecConfig`] holds them once; the party types embed it and delegate
 //! their builder methods here.
 
 use crate::matmul::{TripletConfig, TripletMode};
 use crate::relu::ReluVariant;
+use abnn2_net::{Transport, TransportError};
 use std::time::Duration;
 
 /// Validates a worker-thread count.
@@ -79,9 +79,7 @@ impl ExecConfig {
 }
 
 /// Deadline budget for a resilient session, applied via
-/// [`Transport::set_read_timeout`](abnn2_net::Transport::set_read_timeout)
-/// and
-/// [`Transport::set_phase_budget`](abnn2_net::Transport::set_phase_budget).
+/// [`Transport::set_read_timeout`] and [`Transport::set_phase_budget`].
 ///
 /// `None` anywhere means "unbounded" for that knob. The defaults
 /// ([`SessionDeadlines::default`]) are deliberately unbounded so plain
@@ -91,10 +89,10 @@ impl ExecConfig {
 pub struct SessionDeadlines {
     /// Longest a single `recv` may block waiting for the peer.
     pub read_timeout: Option<Duration>,
-    /// Budget for the whole offline phase (handshake + base OTs +
-    /// triplets).
+    /// Budget for the whole offline side: base OTs plus the bundle or
+    /// the triplets (armed at the `"setup"` mark).
     pub offline_budget: Option<Duration>,
-    /// Budget for the whole online phase.
+    /// Budget for the whole online phase (armed at the `"online"` mark).
     pub online_budget: Option<Duration>,
 }
 
@@ -123,6 +121,33 @@ impl SessionDeadlines {
             read_timeout: Some(read_timeout),
             offline_budget: Some(read_timeout * 20),
             online_budget: Some(read_timeout * 20),
+        }
+    }
+
+    /// The phase budget a session re-arms on entering the phase `label`:
+    /// the `"setup"` mark arms the offline budget (covering setup, bundle
+    /// and offline), the `"online"` mark the online budget. `None` for
+    /// every other mark, which leaves the running budget in place.
+    #[must_use]
+    pub fn budget_at(&self, label: &str) -> Option<Option<Duration>> {
+        match label {
+            "setup" => Some(self.offline_budget),
+            "online" => Some(self.online_budget),
+            _ => None,
+        }
+    }
+
+    /// Marks the phase `label` on `ch` and re-arms its budget
+    /// ([`budget_at`](Self::budget_at)).
+    ///
+    /// # Errors
+    ///
+    /// A transport that cannot apply the budget.
+    pub fn enter_phase<T: Transport>(&self, ch: &mut T, label: &str) -> Result<(), TransportError> {
+        ch.mark_phase(label);
+        match self.budget_at(label) {
+            Some(budget) => ch.set_phase_budget(budget),
+            None => Ok(()),
         }
     }
 }
@@ -163,5 +188,19 @@ mod tests {
         let u = SessionDeadlines::uniform(Duration::from_millis(100));
         assert_eq!(u.read_timeout, Some(Duration::from_millis(100)));
         assert_eq!(u.online_budget, Some(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn setup_and_online_marks_arm_their_budgets() {
+        let d = SessionDeadlines {
+            read_timeout: None,
+            offline_budget: Some(Duration::from_secs(3)),
+            online_budget: None,
+        };
+        assert_eq!(d.budget_at("setup"), Some(Some(Duration::from_secs(3))));
+        assert_eq!(d.budget_at("online"), Some(None), "an unbounded online phase disarms");
+        for label in ["handshake", "offline", "bundle", "offline:op0/dense"] {
+            assert_eq!(d.budget_at(label), None, "{label} leaves the budget running");
+        }
     }
 }

@@ -64,14 +64,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Where a session's side data (parameters, resume checkpoints, warm
-/// bundles) comes from. The serving layer implements this over its
-/// per-worker stores; [`NullHost`] declines everything for the plain
-/// blocking flow.
+/// bundles) comes from, and where its checkpoint goes when it ends. The
+/// serving layer implements this over its per-worker stores, the
+/// resilient server over its checkpoint store; [`NullHost`] declines
+/// everything for the plain blocking flow.
 ///
-/// The driver consults each method at most once per session, during the
-/// handshake phase, and only for a parameter-matched peer — so a claim or
-/// take may have side effects (removal from a store) without risking
-/// double consumption on replay.
+/// The driver consults the first three methods at most once per session,
+/// during the handshake phase, and only for a parameter-matched peer — so
+/// a claim or take may have side effects (removal from a store) without
+/// risking double consumption on replay. The last two are called only by
+/// [`SessionDriver::settle`].
 pub trait SessionHost {
     /// Our session parameters for the batch size the client announced.
     fn params_for(&self, batch: usize) -> SessionParams;
@@ -90,6 +92,13 @@ pub trait SessionHost {
         params: &SessionParams,
         mode: OfflineMode,
     ) -> Option<(ServerBundle, ClientBundle)>;
+
+    /// Keeps the checkpoint of a session that stopped retryably, so the
+    /// client's reconnect can resume it. Hosts without a store drop it.
+    fn park_checkpoint(&self, _token: ResumeToken, _bundle: ServerBundle) {}
+
+    /// Forgets any checkpoint held for `token`: its session completed.
+    fn release_checkpoint(&self, _token: &ResumeToken) {}
 }
 
 /// A host that never resumes and never deals bundles: the
@@ -376,11 +385,28 @@ impl<H: SessionHost> SessionDriver<H> {
         self.batch
     }
 
-    /// Removes and returns the connection-independent offline state a
-    /// reconnecting client could resume from. The hosting layer inserts
-    /// it into a checkpoint store when the session dies retryably.
-    pub fn take_checkpoint(&mut self) -> Option<ServerBundle> {
-        self.checkpoint.take()
+    /// Settles a finished session's checkpoint with the host, by the one
+    /// rule every host shares: on success the token's checkpoint is
+    /// released for good; on a retryable failure the session's
+    /// connection-independent offline state is parked for the client's
+    /// reconnect; a fatal failure drops it. Returns `outcome`.
+    ///
+    /// # Errors
+    ///
+    /// `outcome`'s error, unchanged.
+    pub fn settle(&mut self, outcome: Result<(), ProtocolError>) -> Result<(), ProtocolError> {
+        if let Some(token) = self.token {
+            match &outcome {
+                Ok(()) => self.host.release_checkpoint(&token),
+                Err(e) if e.is_retryable() => {
+                    if let Some(bundle) = self.checkpoint.take() {
+                        self.host.park_checkpoint(token, bundle);
+                    }
+                }
+                Err(_) => {}
+            }
+        }
+        outcome
     }
 
     /// The error a failed driver stopped with.
@@ -631,11 +657,25 @@ pub fn drive_frames<T: Transport, H: SessionHost>(
     driver: &mut SessionDriver<H>,
     mut observe: impl FnMut(&DriverEffect),
 ) -> Result<DriveStats, ProtocolError> {
+    drive_with(ch, driver, |_, effect| {
+        observe(effect);
+        Ok(())
+    })
+}
+
+/// [`drive_frames`] with a hook that also sees the transport, so a host
+/// can act on a mark (arm a phase budget, inject a fault) before the
+/// effects that follow it reach the wire.
+pub(crate) fn drive_with<T: Transport, H: SessionHost>(
+    ch: &mut T,
+    driver: &mut SessionDriver<H>,
+    mut hook: impl FnMut(&mut T, &DriverEffect) -> Result<(), ProtocolError>,
+) -> Result<DriveStats, ProtocolError> {
     let mut stats = DriveStats::default();
     loop {
         let step = driver.step();
         for effect in driver.take_effects() {
-            observe(&effect);
+            hook(ch, &effect)?;
             match effect {
                 DriverEffect::Send(bytes) => ch.send_owned(bytes)?,
                 DriverEffect::Flush => ch.flush()?,
@@ -673,7 +713,7 @@ pub fn drive_blocking<T: Transport, H: SessionHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handshake::handshake_client;
+    use crate::handshake::{handshake_client_ext, HelloRequest};
     use crate::inference::SecureClient;
     use abnn2_math::{FragmentScheme, Ring};
     use abnn2_net::{wire, Endpoint, NetworkModel};
@@ -804,7 +844,9 @@ mod tests {
         let theirs = params_for(&other, 1);
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
         std::thread::scope(|scope| {
-            let cli = scope.spawn(move || handshake_client(&mut cch, theirs, &[0u8; 16], false));
+            let cli = scope.spawn(move || {
+                handshake_client_ext(&mut cch, theirs, &[0u8; 16], HelloRequest::default())
+            });
             let mut driver = driver_for(&server, 30);
             let mut sent_reply = false;
             let err = drive_frames(&mut sch, &mut driver, |effect| {

@@ -11,7 +11,7 @@
 //! and the server's step-at-a-time cursors in the private `stepper`
 //! module, which the blocking `SecureServer` calls and the suspendable
 //! [`crate::driver::SessionDriver`] share. `SecureServer`/`SecureClient`
-//! and `CnnServer`/`CnnClient` are thin adapters over these.
+//! are thin adapters over these, for every topology.
 //!
 //! The executor's state invariant, per party:
 //!

@@ -37,7 +37,6 @@ use abnn2_net::Transport;
 use abnn2_nn::graph::LayerGraph;
 use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
-use abnn2_ot::OfflineMode;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -296,20 +295,7 @@ impl SecureServer {
         // not something to silently adopt.
         let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
         let (_, _, reply) = handshake_server_ext(ch, |_| ours, |_| false, |_, _| false)?;
-        self.offline_after_handshake(ch, batch, reply.mode(), rng)
-    }
-
-    /// The post-handshake portion of the offline phase: base-OT session
-    /// setup plus triplet generation. Split out so the resilient driver can
-    /// run its own handshake (with resume tokens) first.
-    pub(crate) fn offline_after_handshake<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        batch: usize,
-        mode: OfflineMode,
-        rng: &mut R,
-    ) -> Result<ServerOffline, ProtocolError> {
-        let session = ServerSession::setup_with(ch, mode, rng)?;
+        let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
         self.offline_with(ch, session, batch, rng)
     }
 
@@ -525,19 +511,7 @@ impl SecureClient {
         let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
         let request = HelloRequest { silent: self.silent, ..HelloRequest::default() };
         let reply = handshake_client_ext(ch, ours, &[0u8; 16], request)?;
-        self.offline_after_handshake(ch, batch, reply.mode(), rng)
-    }
-
-    /// The post-handshake portion of the offline phase (see the server
-    /// counterpart for why this is split out).
-    pub(crate) fn offline_after_handshake<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        batch: usize,
-        mode: OfflineMode,
-        rng: &mut R,
-    ) -> Result<ClientOffline, ProtocolError> {
-        let session = ClientSession::setup_with(ch, mode, rng)?;
+        let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
         self.offline_with(ch, session, batch, rng)
     }
 

@@ -27,7 +27,10 @@
 //!   [`driver::drive_blocking`] adapter,
 //! * [`resilient`] — reconnect-and-resume drivers that checkpoint the
 //!   offline phase and replay the online phase after a connection loss,
-//!   producing logits bit-identical to an uninterrupted run,
+//!   producing logits bit-identical to an uninterrupted run: the server
+//!   side drives the [`driver`] engine over a checkpoint store, and
+//!   [`resilient::ResilientClient::run_raw`] is the one client retry flow
+//!   (resume, warm bundles, busy backoff),
 //! * [`bundle`] — portable offline-phase state ([`ServerBundle`] /
 //!   [`ClientBundle`]) keyed by [`BundleKey`], plus [`dealer_bundle`]
 //!   dealer-mode generation — the substrate for `abnn2-serve`'s precompute

@@ -12,6 +12,15 @@
 //! and the input (GC label randomness never reaches the opened shares),
 //! the resumed run produces logits bit-identical to an uninterrupted one.
 //!
+//! Each side has one session flow. [`ResilientServer`] runs every attempt
+//! through the [`SessionDriver`] — the same engine as
+//! [`SecureServer::run`] and the serving workers — over a
+//! [`SessionHost`] backed by its [`CheckpointStore`].
+//! [`ResilientClient::run_raw`] is the only client retry flow: it also
+//! negotiates warm bundles, marks the session's phases and backs off on
+//! busy rejections, and `abnn2-serve`'s `ServeClient` is a TCP front for
+//! it.
+//!
 //! Failure handling is strictly typed: transient errors
 //! ([`ProtocolError::is_retryable`]) trigger reconnection until the policy
 //! is exhausted; fatal ones ([`ProtocolError::Negotiation`],
@@ -22,26 +31,35 @@
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::SessionDeadlines;
-use crate::handshake::{
-    handshake_client_ext, handshake_server_ext, HelloRequest, ResumeToken, SessionParams,
-};
-use crate::inference::{ClientOffline, SecureClient, SecureServer, ServerOffline};
-use crate::session::{ClientSession, ServerSession};
+use crate::driver::{drive_with, DriverEffect, SessionDriver, SessionHost};
+use crate::frames::Bundle;
+use crate::graph::PublicModel;
+use crate::handshake::{handshake_client_ext, HelloRequest, ResumeToken, SessionParams};
+use crate::inference::{ClientOffline, SecureClient, SecureServer};
+use crate::relu::ReluVariant;
+use crate::session::ClientSession;
 use crate::ProtocolError;
 use abnn2_math::Matrix;
 use abnn2_net::{ResilientDriver, RetryPolicy, Transport, TransportError};
-use rand::Rng;
+use abnn2_ot::OfflineMode;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Outcome summary of a resilient run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunReport {
     /// Connection attempts consumed (1 = no failure).
     pub attempts: u32,
     /// Whether any attempt resumed from a checkpoint instead of running a
     /// fresh offline phase.
     pub resumed: bool,
+    /// Whether the last attempt that established offline state ran warm:
+    /// a server-supplied bundle instead of an interactive offline phase.
+    pub warm: bool,
 }
 
 /// Default checkpoint capacity for a [`ResilientServer`]'s store.
@@ -153,30 +171,27 @@ impl CheckpointStore {
     }
 }
 
-fn apply_read_timeout<T: Transport>(
-    ch: &mut T,
-    deadlines: &SessionDeadlines,
-) -> Result<(), TransportError> {
-    ch.set_read_timeout(deadlines.read_timeout)
-}
-
 /// Client-side resilient driver: wraps a [`SecureClient`] with
-/// reconnection, deadlines, and offline-phase checkpointing.
+/// reconnection, deadlines, warm-bundle negotiation and offline-phase
+/// checkpointing.
 #[derive(Debug, Clone)]
 pub struct ResilientClient {
     client: SecureClient,
     policy: RetryPolicy,
     deadlines: SessionDeadlines,
+    request_bundle: bool,
 }
 
 impl ResilientClient {
-    /// Wraps `client` with the default retry policy and LAN deadlines.
+    /// Wraps `client` with the default retry policy and LAN deadlines,
+    /// requesting no bundles.
     #[must_use]
     pub fn new(client: SecureClient) -> Self {
         ResilientClient {
             client,
             policy: RetryPolicy::default(),
             deadlines: SessionDeadlines::lan(),
+            request_bundle: false,
         }
     }
 
@@ -194,20 +209,47 @@ impl ResilientClient {
         self
     }
 
+    /// Whether to ask the server for a precomputed bundle (default
+    /// false). A server that grants it skips the interactive offline
+    /// phase; one that does not runs it as usual.
+    #[must_use]
+    pub fn with_bundles(mut self, request: bool) -> Self {
+        self.request_bundle = request;
+        self
+    }
+
+    /// Applies `f` to the wrapped [`SecureClient`] (its variant, threads
+    /// or silent-OT capability).
+    #[must_use]
+    pub fn map_client(mut self, f: impl FnOnce(SecureClient) -> SecureClient) -> Self {
+        self.client = f(self.client);
+        self
+    }
+
     /// Runs one batch of predictions over connections minted by `connect`,
     /// reconnecting and resuming as needed. Returns the raw logits (ring
     /// elements, `out_dim × batch`) plus a [`RunReport`].
     ///
-    /// `connect(attempt)` is called once per attempt (0-based) and must
-    /// return a fresh transport to the same server.
+    /// `connect(attempt)` is called once per attempt (0-based, counted
+    /// across admission retries) and must return a fresh transport to the
+    /// same server. Each attempt marks its phases on the transport
+    /// (`handshake`, `setup`, then `bundle` or `offline` unless resumed,
+    /// then `online`) and re-arms the phase budget at `setup` and
+    /// `online`.
     ///
     /// # Errors
     ///
-    /// The first fatal [`ProtocolError`], or the last transient one once
-    /// the retry policy is exhausted.
+    /// [`ProtocolError::Overloaded`] when the server refuses admission
+    /// and the retry budget is exhausted. A busy rejection carries the
+    /// server's `retry_after_ms` hint; this driver honors it — sleeping
+    /// the hinted amount (or its own jittered backoff when the hint is
+    /// zero) before re-dialing, each wait consuming one attempt from the
+    /// retry policy — so turned-away clients back off instead of
+    /// hot-looping against a full queue. Otherwise the first fatal error
+    /// or the last transient one once the retry policy is exhausted.
     pub fn run_raw<T, C, R>(
         &self,
-        connect: C,
+        mut connect: C,
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<(Matrix, RunReport), ProtocolError>
@@ -221,49 +263,128 @@ impl ResilientClient {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
         let ours = SessionParams::for_public(&self.client.model, self.client.exec.variant, batch);
+        let graph = self.client.secure_graph(batch)?;
         let mut token: ResumeToken = [0; 16];
         rng.fill(&mut token);
 
-        // Checkpoint of a completed offline phase: client randomness R and
-        // triplet shares V per layer. Survives reconnects by construction.
+        // Checkpoint of a completed offline phase (or a received bundle):
+        // client randomness R and triplet shares V per layer. Survives
+        // reconnects by construction.
         let mut checkpoint: Option<ClientBundle> = None;
-        let mut attempts = 0u32;
-        let mut resumed = false;
+        let mut report = RunReport::default();
+        let mut shed_waits = 0u32;
 
-        let driver = ResilientDriver::new(self.policy);
-        let logits = driver.run(connect, |ch, attempt| -> Result<Matrix, ProtocolError> {
-            attempts = attempt + 1;
-            apply_read_timeout(ch, &self.deadlines)?;
+        // Admission loop: a busy rejection is not retryable inside the
+        // resilient driver (re-dialing instantly would hammer a full
+        // queue), so it is retried out here, after honoring the server's
+        // backoff hint.
+        loop {
+            let base = report.attempts;
+            let outcome = ResilientDriver::new(self.policy).run(
+                |attempt| connect(base + attempt),
+                |ch, attempt| -> Result<Matrix, ProtocolError> {
+                    report.attempts = base + attempt + 1;
+                    ch.set_read_timeout(self.deadlines.read_timeout)?;
 
-            let want_resume = checkpoint.is_some();
-            let request = HelloRequest {
-                resume: want_resume,
-                silent: self.client.silent,
-                ..HelloRequest::default()
-            };
-            let reply = handshake_client_ext(ch, ours, &token, request)?;
+                    self.deadlines.enter_phase(ch, "handshake")?;
+                    let request = HelloRequest {
+                        resume: checkpoint.is_some(),
+                        bundle: self.request_bundle && checkpoint.is_none(),
+                        silent: self.client.silent,
+                    };
+                    let reply = handshake_client_ext(ch, ours, &token, request)?;
 
-            ch.set_phase_budget(self.deadlines.offline_budget)?;
-            let state = if reply.resume {
-                resumed = true;
-                let bundle = checkpoint.clone().expect("resume implies checkpoint");
-                let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
-                ClientOffline::from_bundle(session, bundle)
-            } else {
-                // Server has no matching checkpoint (fresh run, or it lost
-                // state): drop ours and pay for a full offline phase.
-                checkpoint = None;
-                let state = self.client.offline_after_handshake(ch, batch, reply.mode(), rng)?;
-                checkpoint = Some(state.to_bundle());
-                state
-            };
+                    self.deadlines.enter_phase(ch, "setup")?;
+                    let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
+                    let state = match checkpoint.clone().filter(|_| reply.resume) {
+                        Some(bundle) => {
+                            report.resumed = true;
+                            ClientOffline::from_bundle(session, bundle)
+                        }
+                        None if reply.bundle => {
+                            report.warm = true;
+                            self.deadlines.enter_phase(ch, "bundle")?;
+                            let Bundle(bytes) = ch.recv_frame()?;
+                            let bundle = ClientBundle::decode(&bytes, &graph)?;
+                            checkpoint = Some(bundle.clone());
+                            ClientOffline::from_bundle(session, bundle)
+                        }
+                        None => {
+                            // The server had neither our checkpoint nor a
+                            // pooled bundle (fresh run, or it lost state):
+                            // drop ours and pay for a full offline phase.
+                            report.warm = false;
+                            checkpoint = None;
+                            self.deadlines.enter_phase(ch, "offline")?;
+                            let state = self.client.offline_with(ch, session, batch, rng)?;
+                            checkpoint = Some(state.to_bundle());
+                            state
+                        }
+                    };
 
-            ch.set_phase_budget(self.deadlines.online_budget)?;
-            let y = self.client.online_raw(ch, state, inputs_fp, rng)?;
-            ch.set_phase_budget(None)?;
-            Ok(y)
-        })?;
-        Ok((logits, RunReport { attempts, resumed }))
+                    self.deadlines.enter_phase(ch, "online")?;
+                    self.client.online_raw(ch, state, inputs_fp, rng)
+                },
+            );
+            match outcome {
+                Err(ProtocolError::Overloaded { retry_after_ms })
+                    if shed_waits + 1 < self.policy.max_attempts.max(1) =>
+                {
+                    let wait = if retry_after_ms > 0 {
+                        Duration::from_millis(u64::from(retry_after_ms))
+                    } else {
+                        self.policy.backoff(shed_waits)
+                    };
+                    if !wait.is_zero() {
+                        std::thread::sleep(wait);
+                    }
+                    shed_waits += 1;
+                }
+                other => return other.map(|y| (y, report)),
+            }
+        }
+    }
+}
+
+/// The [`ResilientServer`]'s [`SessionHost`]: adopts the client's
+/// announced batch (a prediction service has no a-priori batch
+/// expectation), claims and parks resume checkpoints in the store, and
+/// never deals bundles.
+struct CheckpointHost<'a> {
+    public: &'a PublicModel,
+    variant: ReluVariant,
+    store: &'a CheckpointStore,
+    /// Set once an attempt's resume request is accepted.
+    resumed: &'a Cell<bool>,
+}
+
+impl SessionHost for CheckpointHost<'_> {
+    fn params_for(&self, batch: usize) -> SessionParams {
+        SessionParams::for_public(self.public, self.variant, batch)
+    }
+
+    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
+        let claimed = self.store.claim(token);
+        if claimed.is_some() {
+            self.resumed.set(true);
+        }
+        claimed
+    }
+
+    fn take_bundle(
+        &self,
+        _params: &SessionParams,
+        _mode: OfflineMode,
+    ) -> Option<(ServerBundle, ClientBundle)> {
+        None
+    }
+
+    fn park_checkpoint(&self, token: ResumeToken, bundle: ServerBundle) {
+        self.store.insert(token, bundle);
+    }
+
+    fn release_checkpoint(&self, token: &ResumeToken) {
+        self.store.remove(token);
     }
 }
 
@@ -272,7 +393,7 @@ impl ResilientClient {
 /// bounded, shareable [`CheckpointStore`].
 #[derive(Debug)]
 pub struct ResilientServer {
-    server: SecureServer,
+    server: Arc<SecureServer>,
     policy: RetryPolicy,
     deadlines: SessionDeadlines,
     store: Arc<CheckpointStore>,
@@ -284,7 +405,7 @@ impl ResilientServer {
     #[must_use]
     pub fn new(server: SecureServer) -> Self {
         ResilientServer {
-            server,
+            server: Arc::new(server),
             policy: RetryPolicy::default(),
             deadlines: SessionDeadlines::lan(),
             store: Arc::new(CheckpointStore::new(DEFAULT_CHECKPOINT_CAPACITY)),
@@ -337,9 +458,10 @@ impl ResilientServer {
     }
 
     /// [`serve_one`](Self::serve_one) with a hook invoked after the offline
-    /// phase of each attempt, before the online phase begins. Chaos and
-    /// resume tests use the hook to arm transport faults at a protocol
-    /// point that cannot be addressed by a hardcoded message index.
+    /// phase of each attempt, before the online phase begins (on the
+    /// driver's `online` mark). Chaos and resume tests use the hook to arm
+    /// transport faults at a protocol point that cannot be addressed by a
+    /// hardcoded message index.
     ///
     /// # Errors
     ///
@@ -359,73 +481,38 @@ impl ResilientServer {
     {
         // Checkpoints live in the shared bounded store, keyed by the
         // client's resume token, so any driver holding the same store can
-        // pick the job up. Claims are single-use: the bundle leaves the
-        // store while its session is live (a concurrently presented
-        // duplicate token therefore downgrades to a fresh run) and is
-        // re-inserted only when the session fails retryably.
+        // pick the job up; the driver settles them (`SessionDriver::settle`).
+        let public = self.server.public_model();
+        let resumed = Cell::new(false);
         let mut attempts = 0u32;
-        let mut resumed = false;
-
-        let driver = ResilientDriver::new(self.policy);
-        driver.run(accept, |ch, attempt| -> Result<(), ProtocolError> {
-            attempts = attempt + 1;
-            apply_read_timeout(ch, &self.deadlines)?;
-
-            let public = self.server.public_model();
-            let mut claimed: Option<ServerBundle> = None;
-            let (batch, token, reply) = handshake_server_ext(
-                ch,
-                // Adopt the client's announced batch: the server side of a
-                // prediction service has no a-priori batch expectation.
-                |b| SessionParams::for_public(&public, self.server.exec.variant, b),
-                |t| {
-                    claimed = self.store.claim(t);
-                    claimed.is_some()
-                },
-                |_, _| false,
-            )?;
-
-            // From here on, `checkpoint` holds the connection-independent
-            // state a reconnecting client could resume from; it goes back
-            // into the store only on a retryable failure.
-            let mut checkpoint: Option<ServerBundle> = claimed;
-            let outcome = (|| -> Result<(), ProtocolError> {
-                ch.set_phase_budget(self.deadlines.offline_budget)?;
-                let state = if reply.resume {
-                    resumed = true;
-                    let bundle = checkpoint.clone().expect("resume implies claimed checkpoint");
-                    let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
-                    ServerOffline::from_bundle(session, bundle)
-                } else {
-                    let state =
-                        self.server.offline_after_handshake(ch, batch, reply.mode(), rng)?;
-                    checkpoint = Some(state.to_bundle());
-                    state
+        ResilientDriver::new(self.policy).run(
+            accept,
+            |ch, attempt| -> Result<(), ProtocolError> {
+                attempts = attempt + 1;
+                ch.set_read_timeout(self.deadlines.read_timeout)?;
+                let host = CheckpointHost {
+                    public: &public,
+                    variant: self.server.exec.variant,
+                    store: &self.store,
+                    resumed: &resumed,
                 };
-
-                after_offline(ch, attempt);
-
-                ch.set_phase_budget(self.deadlines.online_budget)?;
-                self.server.online(ch, state)?;
-                ch.set_phase_budget(None)?;
-                Ok(())
-            })();
-            match outcome {
-                Ok(()) => {
-                    self.store.remove(&token);
-                    Ok(())
-                }
-                Err(e) => {
-                    if e.is_retryable() {
-                        if let Some(bundle) = checkpoint.take() {
-                            self.store.insert(token, bundle);
+                let driver_rng = StdRng::seed_from_u64(rng.next_u64());
+                let mut driver = SessionDriver::new(Arc::clone(&self.server), host, driver_rng);
+                let outcome = drive_with(ch, &mut driver, |ch, effect| {
+                    if let DriverEffect::Mark(label) = effect {
+                        if label == "online" {
+                            after_offline(ch, attempt);
+                        }
+                        if let Some(budget) = self.deadlines.budget_at(label) {
+                            ch.set_phase_budget(budget)?;
                         }
                     }
-                    Err(e)
-                }
-            }
-        })?;
-        Ok(RunReport { attempts, resumed })
+                    Ok(())
+                });
+                driver.settle(outcome.map(|_| ()))
+            },
+        )?;
+        Ok(RunReport { attempts, resumed: resumed.get(), warm: false })
     }
 }
 
@@ -484,9 +571,9 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(93);
             let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).unwrap();
             assert_eq!(y.col(0), expected);
-            assert_eq!(report, RunReport { attempts: 1, resumed: false });
+            assert_eq!(report, RunReport { attempts: 1, resumed: false, warm: false });
             let srv_report = srv.join().unwrap().unwrap();
-            assert_eq!(srv_report, RunReport { attempts: 1, resumed: false });
+            assert_eq!(srv_report, RunReport { attempts: 1, resumed: false, warm: false });
         });
     }
 

@@ -1,29 +1,22 @@
 //! Client driver for the serving frontend.
 //!
-//! [`ServeClient`] wraps a [`SecureClient`] with everything a caller
-//! talking to a [`Server`](crate::Server) needs: TCP connection minting,
-//! reconnect-and-resume under a [`RetryPolicy`], warm-bundle negotiation,
-//! and per-phase instrumentation. The returned [`ServeReport`] carries the
-//! merged phase stats across all attempts, so callers (and the acceptance
-//! tests) can verify a warm request moved *zero* offline-phase bytes.
+//! [`ServeClient`] is a TCP front for [`ResilientClient`], the one client
+//! session flow: reconnect-and-resume under a [`RetryPolicy`], warm-bundle
+//! negotiation and busy-rejection backoff all live there. This module adds
+//! what a caller talking to a [`Server`](crate::Server) needs on top:
+//! TCP connection minting and per-phase instrumentation of every attempt.
+//! The returned [`ServeReport`] carries the merged phase stats across all
+//! attempts, so callers (and the acceptance tests) can verify a warm
+//! request moved *zero* offline-phase bytes.
 
-use abnn2_core::bundle::ClientBundle;
-use abnn2_core::frames::Bundle;
-use abnn2_core::handshake::{handshake_client_ext, HelloRequest, ResumeToken, SessionParams};
-use abnn2_core::inference::ClientOffline;
-use abnn2_core::session::ClientSession;
 use abnn2_core::{
-    ProtocolError, PublicModel, PublicModelInfo, ReluVariant, SecureClient, SecureGraph,
-    SessionDeadlines,
+    ProtocolError, PublicModel, PublicModelInfo, ReluVariant, ResilientClient, RunReport,
+    SecureClient, SessionDeadlines,
 };
 use abnn2_math::Matrix;
-use abnn2_net::{
-    InstrumentHandle, InstrumentedTransport, PhaseStats, ResilientDriver, RetryPolicy,
-    TcpTransport, Transport,
-};
+use abnn2_net::{InstrumentHandle, InstrumentedTransport, PhaseStats, RetryPolicy, TcpTransport};
 use rand::Rng;
 use std::net::SocketAddr;
-use std::time::Duration;
 
 /// Outcome of one served request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,15 +51,11 @@ impl ServeReport {
     }
 }
 
-/// A reconnecting, bundle-aware client for the serving frontend.
+/// A reconnecting, bundle-aware client for the serving frontend: a
+/// [`ResilientClient`] requesting warm bundles, over instrumented TCP.
 #[derive(Debug, Clone)]
 pub struct ServeClient {
-    client: SecureClient,
-    variant: ReluVariant,
-    policy: RetryPolicy,
-    deadlines: SessionDeadlines,
-    request_bundle: bool,
-    silent: bool,
+    client: ResilientClient,
 }
 
 impl ServeClient {
@@ -79,50 +68,38 @@ impl ServeClient {
 
     /// Client for any served topology (MLP or CNN) described by a
     /// [`PublicModel`], requesting warm bundles, with the default retry
-    /// policy and LAN deadlines.
+    /// policy and LAN deadlines. Its default execution options match
+    /// `ServeConfig`'s, so a default client and a default server
+    /// negotiate successfully out of the box.
     #[must_use]
     pub fn for_model(model: impl Into<PublicModel>) -> Self {
-        // Match ServeConfig's default ExecConfig so a default client and a
-        // default server negotiate successfully out of the box.
-        let variant = abnn2_core::ExecConfig::new().variant;
-        ServeClient {
-            client: SecureClient::for_model(model).with_variant(variant),
-            variant,
-            policy: RetryPolicy::default(),
-            deadlines: SessionDeadlines::lan(),
-            request_bundle: true,
-            silent: false,
-        }
+        let client = ResilientClient::new(SecureClient::for_model(model)).with_bundles(true);
+        ServeClient { client }
     }
 
     /// Selects the activation variant (must match the server's).
     #[must_use]
-    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
-        self.variant = variant;
-        self.client = self.client.with_variant(variant);
-        self
+    pub fn with_variant(self, variant: ReluVariant) -> Self {
+        ServeClient { client: self.client.map_client(|c| c.with_variant(variant)) }
     }
 
     /// Replaces the retry policy.
     #[must_use]
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
+    pub fn with_policy(self, policy: RetryPolicy) -> Self {
+        ServeClient { client: self.client.with_policy(policy) }
     }
 
     /// Replaces the deadline budget.
     #[must_use]
-    pub fn with_deadlines(mut self, deadlines: SessionDeadlines) -> Self {
-        self.deadlines = deadlines;
-        self
+    pub fn with_deadlines(self, deadlines: SessionDeadlines) -> Self {
+        ServeClient { client: self.client.with_deadlines(deadlines) }
     }
 
     /// Whether to ask the server for a precomputed bundle (default true).
     /// With `false` every request pays the interactive offline phase.
     #[must_use]
-    pub fn with_bundles(mut self, request: bool) -> Self {
-        self.request_bundle = request;
-        self
+    pub fn with_bundles(self, request: bool) -> Self {
+        ServeClient { client: self.client.with_bundles(request) }
     }
 
     /// Whether to advertise silent-OT capability in the hello (default
@@ -130,157 +107,38 @@ impl ServeClient {
     /// OT correlations locally from LPN instead of streaming IKNP columns;
     /// falls back to IKNP transparently against older servers.
     #[must_use]
-    pub fn with_silent(mut self, silent: bool) -> Self {
-        self.silent = silent;
-        self
+    pub fn with_silent(self, silent: bool) -> Self {
+        ServeClient { client: self.client.map_client(|c| c.with_silent(silent)) }
     }
 
     /// Runs one batch of predictions against the server at `addr`,
-    /// reconnecting and resuming as needed. Returns the raw logits
+    /// reconnecting and resuming as needed
+    /// ([`ResilientClient::run_raw`]). Returns the raw logits
     /// (`out_dim × batch`), bit-identical to
     /// `QuantizedNetwork::forward_exact`, plus a [`ServeReport`].
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Overloaded`] when the server refuses admission
-    /// and the retry budget is exhausted. A busy rejection carries the
-    /// server's `retry_after_ms` hint; this driver honors it — sleeping
-    /// the hinted amount (or its own jittered backoff when the hint is
-    /// zero) before re-dialing, each wait consuming one attempt from the
-    /// retry policy — so turned-away clients back off instead of
-    /// hot-looping against a full queue. Otherwise the first fatal error
-    /// or the last transient one once the retry policy is exhausted.
+    /// As [`ResilientClient::run_raw`]: [`ProtocolError::Overloaded`]
+    /// once busy rejections have used up the retry budget (each honoring
+    /// the server's `retry_after_ms` hint), otherwise the first fatal
+    /// error or the last transient one.
     pub fn run<R: Rng + ?Sized>(
         &self,
         addr: SocketAddr,
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<(Matrix, ServeReport), ProtocolError> {
-        let batch = inputs_fp.len();
-        if batch == 0 {
-            return Err(ProtocolError::Dimension("batch must be positive"));
-        }
-        let ours = SessionParams::for_public(self.client.public_model(), self.variant, batch);
-        let graph = SecureGraph::new(self.client.public_model().graph(), batch)?;
-        let mut token: ResumeToken = [0; 16];
-        rng.fill(&mut token);
-
-        let mut checkpoint: Option<ClientBundle> = None;
-        let mut attempts = 0u32;
-        let mut resumed = false;
-        let mut warm = false;
         let mut handles: Vec<InstrumentHandle> = Vec::new();
-        let mut shed_waits = 0u32;
-
-        // Admission loop: a busy rejection is not retryable inside the
-        // resilient driver (re-dialing instantly would hammer a full
-        // queue), so it is retried out here, after honoring the server's
-        // backoff hint.
-        let result = loop {
-            match self.run_once(
-                addr,
-                ours,
-                &graph,
-                &token,
-                inputs_fp,
-                rng,
-                &mut checkpoint,
-                &mut attempts,
-                &mut resumed,
-                &mut warm,
-                &mut handles,
-            ) {
-                Err(ProtocolError::Overloaded { retry_after_ms })
-                    if shed_waits + 1 < self.policy.max_attempts.max(1) =>
-                {
-                    let wait = if retry_after_ms > 0 {
-                        Duration::from_millis(u64::from(retry_after_ms))
-                    } else {
-                        self.policy.backoff(shed_waits)
-                    };
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                    shed_waits += 1;
-                }
-                other => break other,
-            }
+        let connect = |_attempt| {
+            let ch = InstrumentedTransport::new(TcpTransport::connect(addr)?);
+            handles.push(ch.handle());
+            Ok(ch)
         };
-
+        let (logits, RunReport { attempts, resumed, warm }) =
+            self.client.run_raw(connect, inputs_fp, rng)?;
         let phases = merge_handles(&handles);
-        let logits = result?;
         Ok((logits, ServeReport { attempts, resumed, warm, phases }))
-    }
-
-    /// One pass of the resilient (reconnect-and-resume) driver; the
-    /// admission loop in [`run`](Self::run) re-invokes this after a busy
-    /// rejection.
-    #[allow(clippy::too_many_arguments)]
-    fn run_once<R: Rng + ?Sized>(
-        &self,
-        addr: SocketAddr,
-        ours: SessionParams,
-        graph: &SecureGraph,
-        token: &ResumeToken,
-        inputs_fp: &[Vec<u64>],
-        rng: &mut R,
-        checkpoint: &mut Option<ClientBundle>,
-        attempts: &mut u32,
-        resumed: &mut bool,
-        warm: &mut bool,
-        handles: &mut Vec<InstrumentHandle>,
-    ) -> Result<Matrix, ProtocolError> {
-        let batch = inputs_fp.len();
-        let base_attempts = *attempts;
-        let driver = ResilientDriver::new(self.policy);
-        driver.run(
-            |_attempt| TcpTransport::connect(addr).map(InstrumentedTransport::new),
-            |ch, attempt| -> Result<Matrix, ProtocolError> {
-                *attempts = base_attempts + attempt + 1;
-                handles.push(ch.handle());
-                ch.set_read_timeout(self.deadlines.read_timeout)?;
-
-                ch.enter_phase("handshake");
-                let request = HelloRequest {
-                    resume: checkpoint.is_some(),
-                    bundle: self.request_bundle && checkpoint.is_none(),
-                    silent: self.silent,
-                };
-                let reply = handshake_client_ext(ch, ours, token, request)?;
-
-                ch.set_phase_budget(self.deadlines.offline_budget)?;
-                ch.enter_phase("setup");
-                let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
-
-                let state = if reply.resume {
-                    *resumed = true;
-                    let bundle = checkpoint.clone().expect("resume implies checkpoint");
-                    ClientOffline::from_bundle(session, bundle)
-                } else if reply.bundle {
-                    *warm = true;
-                    ch.enter_phase("bundle");
-                    let Bundle(bytes) = ch.recv_frame()?;
-                    let bundle = ClientBundle::decode(&bytes, graph)?;
-                    *checkpoint = Some(bundle.clone());
-                    ClientOffline::from_bundle(session, bundle)
-                } else {
-                    // Cold path: the server had neither our checkpoint nor
-                    // a pooled bundle.
-                    *warm = false;
-                    *checkpoint = None;
-                    ch.enter_phase("offline");
-                    let state = self.client.offline_with(ch, session, batch, rng)?;
-                    *checkpoint = Some(state.to_bundle());
-                    state
-                };
-
-                ch.enter_phase("online");
-                ch.set_phase_budget(self.deadlines.online_budget)?;
-                let y = self.client.online_raw(ch, state, inputs_fp, rng)?;
-                ch.set_phase_budget(None)?;
-                Ok(y)
-            },
-        )
     }
 }
 

@@ -40,9 +40,10 @@
 //!   counters, live session gauge, pool hit/miss counters, and per-phase
 //!   traffic aggregated across every connection's
 //!   [`InstrumentHandle`](abnn2_net::InstrumentHandle).
-//! * [`ServeClient`] — the matching client driver: reconnect-and-resume
-//!   (shared with PR 2), warm-bundle negotiation, and a per-request
-//!   [`ServeReport`] with per-phase byte counts.
+//! * [`ServeClient`] — the matching client: a TCP front for
+//!   [`ResilientClient`](abnn2_core::ResilientClient) (reconnect-and-resume,
+//!   warm-bundle negotiation, busy backoff) that instruments every attempt
+//!   and returns a per-request [`ServeReport`] with per-phase byte counts.
 //!
 //! Logits are bit-identical to
 //! [`QuantizedNetwork::forward_exact`](abnn2_nn::quant::QuantizedNetwork::forward_exact)

@@ -6,7 +6,7 @@
 //!
 //! 1. The acceptor thread takes it off the (blocking) listener. If the
 //!    server is draining or the accept queue is full, it answers with a
-//!    busy hello frame ([`abnn2_core::handshake::reject_busy`]) and closes
+//!    busy hello frame ([`abnn2_core::handshake::reject_busy_with`]) and closes
 //!    — the client surfaces [`ProtocolError::Overloaded`]. Otherwise the
 //!    raw stream is queued.
 //! 2. An **event-loop worker** claims it, wraps the socket in a
@@ -571,6 +571,14 @@ impl SessionHost for WorkerHost<'_> {
         self.shared.store.claim(token)
     }
 
+    fn park_checkpoint(&self, token: ResumeToken, bundle: ServerBundle) {
+        self.shared.store.insert(token, bundle);
+    }
+
+    fn release_checkpoint(&self, token: &ResumeToken) {
+        self.shared.store.remove(token);
+    }
+
     fn take_bundle(
         &self,
         params: &SessionParams,
@@ -683,9 +691,8 @@ struct LiveSession<'a> {
     /// Wall-clock of the last inbound frame, for the read timeout while
     /// the driver is parked.
     last_inbound: Instant,
-    /// Deadline of the current phase budget (`Mark("setup")` arms the
-    /// offline budget across setup+bundle+offline, `Mark("online")` the
-    /// online budget — mirroring the blocking server's placement).
+    /// Deadline of the current phase budget, re-armed on the marks
+    /// [`SessionDeadlines::budget_at`] names.
     phase_deadline: Option<Instant>,
     /// Admission ordinal, keyed by the governor's chaos knobs.
     ordinal: u64,
@@ -783,21 +790,21 @@ impl<'a> LiveSession<'a> {
             // reads again after the output shares — but a failed final
             // write is a failed session, as it was on the blocking path.
             DriverStep::Done => match write_err {
-                Some(e) => self.finish_err(shared, e),
-                None => self.finish_ok(shared),
+                Some(e) => self.finish(Err(e)),
+                None => self.finish(Ok(())),
             },
-            DriverStep::Failed(e) => self.finish_err(shared, e),
+            DriverStep::Failed(e) => self.finish(Err(e)),
             DriverStep::NeedRecv => {
                 if let Some(e) = read_err.or(write_err) {
-                    return self.finish_err(shared, e);
+                    return self.finish(Err(e));
                 }
                 let now = Instant::now();
                 if self.phase_deadline.is_some_and(|dl| now >= dl) {
-                    return self.finish_err(shared, ProtocolError::TimedOut);
+                    return self.finish(Err(ProtocolError::TimedOut));
                 }
                 if let Some(rt) = shared.config.deadlines.read_timeout {
                     if now.duration_since(self.last_inbound) >= rt {
-                        return self.finish_err(shared, ProtocolError::TimedOut);
+                        return self.finish(Err(ProtocolError::TimedOut));
                     }
                 }
                 let governor = &shared.config.governor;
@@ -862,56 +869,34 @@ impl<'a> LiveSession<'a> {
                 DriverEffect::Recv { tag, len } => self.meter.record_recv(tag, len),
                 DriverEffect::Mark(label) => {
                     self.meter.enter_phase(&label);
-                    let deadlines = &shared.config.deadlines;
-                    match label.as_str() {
-                        "setup" => {
-                            self.phase_deadline =
-                                deadlines.offline_budget.map(|b| Instant::now() + b);
-                        }
-                        "online" => {
-                            self.online = true;
-                            self.phase_deadline =
-                                deadlines.online_budget.map(|b| Instant::now() + b);
-                        }
-                        _ => {}
+                    if let Some(budget) = shared.config.deadlines.budget_at(&label) {
+                        self.phase_deadline = budget.map(|b| Instant::now() + b);
                     }
+                    self.online |= label == "online";
                 }
             }
         }
     }
 
-    fn finish_ok(&mut self, shared: &Shared) -> Sweep {
-        if let Some(token) = self.driver.token() {
-            shared.store.remove(&token);
-        }
+    /// Ends the session: the driver settles its checkpoint with the host
+    /// ([`SessionDriver::settle`]), then queued output gets a bounded
+    /// flush.
+    fn finish(&mut self, outcome: Result<(), ProtocolError>) -> Sweep {
+        let ok = self.driver.settle(outcome).is_ok();
         self.flush_outbound();
-        Sweep::Finished(true)
-    }
-
-    fn finish_err(&mut self, shared: &Shared, e: ProtocolError) -> Sweep {
-        // Mirror the blocking server: a retryably dead session parks its
-        // connection-independent offline state for a future resume.
-        if e.is_retryable() {
-            if let (Some(token), Some(bundle)) =
-                (self.driver.token(), self.driver.take_checkpoint())
-            {
-                shared.store.insert(token, bundle);
-            }
-        }
-        self.flush_outbound();
-        Sweep::Finished(false)
+        Sweep::Finished(ok)
     }
 
     /// Governor eviction: park the resumable offline state for a future
     /// resume, count the eviction, and give the slot back. Unlike
-    /// [`finish_err`](Self::finish_err) this does NOT wait on
+    /// [`finish`](Self::finish) this does NOT wait on
     /// `flush_outbound` — the peer being evicted is by definition not
     /// draining, and a 5-second courtesy flush per eviction would let
     /// slow peers serialize the very sweep the governor protects.
     fn finish_evict(&mut self, shared: &Shared) -> Sweep {
-        if let (Some(token), Some(bundle)) = (self.driver.token(), self.driver.take_checkpoint()) {
-            shared.store.insert(token, bundle);
-        }
+        // An eviction stops the session retryably: its peer may reconnect
+        // and resume.
+        let _ = self.driver.settle(Err(ProtocolError::TimedOut));
         shared.metrics.session_evicted();
         Sweep::Finished(false)
     }

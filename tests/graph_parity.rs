@@ -10,7 +10,6 @@
 //! `+2 × HELLO_LEN` delta because the graph refactor gives CNN sessions
 //! the same version/parameter handshake the MLP always had.
 
-use abnn2::core::cnn::{CnnClient, CnnServer};
 use abnn2::core::{PublicModelInfo, SecureClient, SecureServer};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{run_pair, NetworkModel};
@@ -117,22 +116,23 @@ fn cnn_total_bytes(seed: u64, scheme: FragmentScheme) -> u64 {
         .collect();
     let expect = cnn.forward_exact(&image);
 
-    let server = CnnServer::new(cnn.clone());
-    let client = CnnClient::new(server.public_info());
+    let server = SecureServer::for_model(cnn.clone());
+    let client = SecureClient::for_model(server.public_model());
     let image2 = image.clone();
     let (srv, got, report) = run_pair(
         NetworkModel::instant(),
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 2);
-            server.run(ch, &mut rng)
+            server.run(ch, 1, &mut rng)
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
-            client.run(ch, &image2, &mut rng).expect("client")
+            let state = client.offline(ch, 1, &mut rng).expect("offline");
+            client.online_raw(ch, state, &[image2], &mut rng).expect("client")
         },
     );
     srv.expect("server");
-    assert_eq!(got, expect, "secure CNN logits diverge from forward_exact");
+    assert_eq!(got.col(0), expect, "secure CNN logits diverge from forward_exact");
     report.total_bytes()
 }
 

@@ -5,9 +5,12 @@
 //! logits via reconnect-and-resume.
 
 use abnn2::core::cnn::PublicCnnInfo;
-use abnn2::core::handshake::{handshake_client, SessionParams};
-use abnn2::core::inference::{PublicModelInfo, SecureClient, SecureServer};
-use abnn2::core::resilient::{ResilientClient, ResilientServer};
+use abnn2::core::handshake::{
+    handshake_client_ext, handshake_server_ext, HelloRequest, SessionParams,
+};
+use abnn2::core::inference::{ClientOffline, PublicModelInfo, SecureClient, SecureServer};
+use abnn2::core::resilient::{CheckpointStore, ResilientClient, ResilientServer};
+use abnn2::core::session::ClientSession;
 use abnn2::core::{ProtocolError, ReluVariant, SessionDeadlines};
 use abnn2::gc::{GcError, YaoGarbler};
 use abnn2::math::{FragmentScheme, Ring};
@@ -19,6 +22,7 @@ use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
 use abnn2::ot::{KkChooser, OtError};
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Connects to a freshly spawned peer that accepts and then stays silent
@@ -177,9 +181,10 @@ fn handshake_rejects_stale_resume_token() {
     let (mut c, mut s) = abnn2::net::Endpoint::pair(NetworkModel::instant());
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            abnn2::core::handshake::handshake_server(&mut s, |_| ours, |_| false).unwrap();
+            handshake_server_ext(&mut s, |_| ours, |_| false, |_, _| false).unwrap();
         });
-        let accepted = handshake_client(&mut c, ours, &[9; 16], true).unwrap();
+        let request = HelloRequest { resume: true, ..HelloRequest::default() };
+        let accepted = handshake_client_ext(&mut c, ours, &[9; 16], request).unwrap().resume;
         assert!(!accepted, "unknown token must downgrade to a fresh run");
     });
 }
@@ -325,5 +330,67 @@ fn retry_exhaustion_is_typed_not_a_hang() {
         .run_raw(|_| Ok(silent_peer_transport(READ_TIMEOUT)), &[vec![0; 12]], &mut rng)
         .unwrap_err();
     assert_eq!(err, ProtocolError::TimedOut);
+    assert!(start.elapsed() < HARD_CAP, "took {:?}", start.elapsed());
+}
+
+/// A client that reconnects with a held resume token but announces a
+/// different batch than its checkpoint was made for: the server adopts
+/// the new batch, claims the checkpoint, and the driver rejects the
+/// mismatch right after setup — a typed error on both sides, no panic or
+/// hang, and the claimed checkpoint is not put back.
+#[test]
+fn resume_with_a_different_batch_fails_typed_on_both_sides() {
+    let q = tiny_model(44);
+    let info = PublicModelInfo::from(&q);
+    let client = SecureClient::new(info.clone());
+    let store = Arc::new(CheckpointStore::new(4));
+    let server = ResilientServer::new(SecureServer::new(q))
+        .with_policy(RetryPolicy::no_delay(3))
+        .with_deadlines(SessionDeadlines::uniform(READ_TIMEOUT))
+        .with_checkpoint_store(Arc::clone(&store));
+    let (dialer, listener) = sim_link(NetworkModel::instant());
+    let token = [5u8; 16];
+    let start = Instant::now();
+
+    let (server_result, client_err) = std::thread::scope(|scope| {
+        let srv = scope.spawn(move || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+            server.serve_one(|_| listener.accept_timeout(Duration::from_secs(5)), &mut rng)
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+
+        // Attempt 0: a batch-1 offline phase, then walk away before
+        // online; the server checkpoints the job under `token`.
+        let mut ch = dialer.dial().expect("dial");
+        let ours = SessionParams::for_model(&info, ReluVariant::Oblivious, 1);
+        let reply = handshake_client_ext(&mut ch, ours, &token, HelloRequest::default())
+            .expect("first handshake");
+        let session = ClientSession::setup_with(&mut ch, reply.mode(), &mut rng).expect("setup");
+        let bundle =
+            client.offline_with(&mut ch, session, 1, &mut rng).expect("offline").to_bundle();
+        drop(ch);
+
+        // Attempt 1: resume under the same token, announcing batch 2.
+        let mut ch = dialer.dial().expect("dial");
+        ch.set_read_timeout(Some(READ_TIMEOUT)).expect("read timeout");
+        let ours = SessionParams::for_model(&info, ReluVariant::Oblivious, 2);
+        let request = HelloRequest { resume: true, ..HelloRequest::default() };
+        let client_err = (|| {
+            let reply = handshake_client_ext(&mut ch, ours, &token, request)?;
+            assert!(reply.resume, "the server holds the token, so it accepts the resume");
+            let session = ClientSession::setup_with(&mut ch, reply.mode(), &mut rng)?;
+            let state = ClientOffline::from_bundle(session, bundle);
+            client.online_raw(&mut ch, state, &[vec![0; 12]], &mut rng)
+        })()
+        .expect_err("the server abandons the mismatched resume");
+        (srv.join().expect("server thread"), client_err)
+    });
+
+    assert_eq!(
+        server_result.expect_err("a batch mismatch is fatal"),
+        ProtocolError::Malformed("resumed checkpoint batch mismatch")
+    );
+    assert!(client_err.is_retryable(), "the client sees the server hang up, got {client_err:?}");
+    assert!(store.is_empty(), "a fatal failure must not put the claimed checkpoint back");
     assert!(start.elapsed() < HARD_CAP, "took {:?}", start.elapsed());
 }
