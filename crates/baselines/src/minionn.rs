@@ -20,15 +20,17 @@
 //! The online phase is byte-identical to ABNN²'s (shared linear step and
 //! GC activations), as in the paper's experimental setup.
 
-use abnn2_core::inference::{layer_share, PublicModelInfo};
+use crate::mlp_dims;
+use abnn2_core::graph::linear_share;
 use abnn2_core::relu::{relu_client, relu_server, ReluVariant};
-use abnn2_core::ProtocolError;
+use abnn2_core::{ProtocolError, PublicModel};
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_he::paillier::{Ciphertext, Keypair, PublicKey};
 use abnn2_he::BigUint;
 use abnn2_math::Matrix;
 use abnn2_net::Transport;
-use abnn2_nn::quant::QuantizedNetwork;
+use abnn2_nn::graph::LayerGraph;
+use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
 use rand::Rng;
 
 /// Key size used by the full-scale benchmarks (research-scale Paillier).
@@ -53,8 +55,8 @@ fn slots_per_ct(key_bits: usize, stride: usize) -> usize {
 }
 
 /// Weight span: bits of `hi − lo` for the scheme's weight range.
-fn weight_span_bits(info: &PublicModelInfo) -> usize {
-    let (lo, hi) = info.config.scheme.weight_range();
+fn weight_span_bits(config: &QuantConfig) -> usize {
+    let (lo, hi) = config.scheme.weight_range();
     64 - ((hi - lo) as u64).leading_zeros() as usize
 }
 
@@ -77,7 +79,7 @@ pub struct MinionnServerOffline {
 /// The MiniONN data-owning party.
 #[derive(Debug, Clone)]
 pub struct MinionnClient {
-    info: PublicModelInfo,
+    model: PublicModel,
     variant: ReluVariant,
     key_bits: usize,
 }
@@ -101,8 +103,8 @@ impl MinionnServer {
 
     /// The public model description.
     #[must_use]
-    pub fn public_info(&self) -> PublicModelInfo {
-        PublicModelInfo::from(&self.net)
+    pub fn public_model(&self) -> PublicModel {
+        PublicModel::from(LayerGraph::from(&self.net))
     }
 
     /// Offline phase: homomorphic triplet generation for `batch`
@@ -120,7 +122,6 @@ impl MinionnServer {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let info = self.public_info();
         let ring = self.net.config.ring;
         // Receive the client's public key (modulus only — g = n + 1).
         let n_bytes = ch.recv()?;
@@ -128,8 +129,8 @@ impl MinionnServer {
             .map_err(|_| ProtocolError::Malformed("even Paillier modulus"))?;
         let yao = YaoEvaluator::setup(ch, rng)?;
 
-        let span = weight_span_bits(&info);
-        let (lo, _) = info.config.scheme.weight_range();
+        let span = weight_span_bits(&self.net.config);
+        let (lo, _) = self.net.config.scheme.weight_range();
         let mut us = Vec::with_capacity(self.net.layers.len());
         for layer in &self.net.layers {
             let st = stride(ring.bits() as usize, layer.in_dim, span);
@@ -200,7 +201,15 @@ impl MinionnServer {
         let mut cur = Matrix::new(n0, batch, ring.decode_slice(&x0_bytes));
         let last = self.net.layers.len() - 1;
         for (l, layer) in self.net.layers.iter().enumerate() {
-            let y0 = layer_share(layer, &cur, &us[l], ring);
+            let y0 = linear_share(
+                &layer.weights,
+                &layer.bias,
+                layer.out_dim,
+                layer.in_dim,
+                &cur,
+                &us[l],
+                ring,
+            );
             if l == last {
                 ch.send(&ring.encode_slice(y0.as_slice()))?;
                 return Ok(());
@@ -230,8 +239,8 @@ impl MinionnServer {
 impl MinionnClient {
     /// Creates a client for a served model.
     #[must_use]
-    pub fn new(info: PublicModelInfo, key_bits: usize) -> Self {
-        MinionnClient { info, variant: ReluVariant::Oblivious, key_bits }
+    pub fn new(model: PublicModel, key_bits: usize) -> Self {
+        MinionnClient { model, variant: ReluVariant::Oblivious, key_bits }
     }
 
     /// Offline phase: generate a key, encrypt per-layer randomness, decrypt
@@ -249,18 +258,20 @@ impl MinionnClient {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let ring = self.info.config.ring;
+        let dims = mlp_dims(&self.model)?;
+        let config = self.model.config();
+        let ring = config.ring;
         let kp = Keypair::generate(self.key_bits, rng);
         ch.send(&kp.public.modulus().to_bytes_le())?;
         let yao = YaoGarbler::setup(ch, rng)?;
 
-        let span = weight_span_bits(&self.info);
-        let (lo, _) = self.info.config.scheme.weight_range();
-        let n_layers = self.info.dims.len() - 1;
+        let span = weight_span_bits(config);
+        let (lo, _) = config.scheme.weight_range();
+        let n_layers = dims.len() - 1;
         let mut rs = Vec::with_capacity(n_layers);
         let mut vs = Vec::with_capacity(n_layers);
         for l in 0..n_layers {
-            let (n_l, m_l) = (self.info.dims[l], self.info.dims[l + 1]);
+            let (n_l, m_l) = (dims[l], dims[l + 1]);
             let st = stride(ring.bits() as usize, n_l, span);
             let slots = slots_per_ct(self.key_bits, st);
             let groups = batch.div_ceil(slots);
@@ -338,9 +349,10 @@ impl MinionnClient {
         rng: &mut R,
     ) -> Result<Matrix, ProtocolError> {
         let MinionnClientOffline { mut yao, rs, vs, batch } = state;
-        let ring = self.info.config.ring;
-        let fw = self.info.config.weight_frac_bits;
-        let n0 = self.info.dims[0];
+        let dims = mlp_dims(&self.model)?;
+        let ring = self.model.config().ring;
+        let fw = self.model.config().weight_frac_bits;
+        let n0 = dims[0];
         if inputs_fp.len() != batch || inputs_fp.iter().any(|x| x.len() != n0) {
             return Err(ProtocolError::Dimension("inputs must be batch × n0"));
         }
@@ -353,11 +365,11 @@ impl MinionnClient {
         let x0 = x.sub(&rs[0], &ring);
         ch.send(&ring.encode_slice(x0.as_slice()))?;
 
-        let n_layers = self.info.dims.len() - 1;
+        let n_layers = dims.len() - 1;
         for l in 0..n_layers {
             let y1 = &vs[l];
             if l == n_layers - 1 {
-                let m = self.info.dims[n_layers];
+                let m = dims[n_layers];
                 let y0_bytes = ch.recv()?;
                 if y0_bytes.len() != m * batch * ring.byte_len() {
                     return Err(ProtocolError::Malformed("output share length"));
@@ -428,7 +440,7 @@ mod tests {
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
         let server = MinionnServer::new(q.clone(), 256);
-        let client = MinionnClient::new(server.public_info(), 256);
+        let client = MinionnClient::new(server.public_model(), 256);
         let inputs2 = inputs_fp.clone();
         let (srv, y, _) = run_pair(
             NetworkModel::instant(),
@@ -442,8 +454,8 @@ mod tests {
             },
         );
         srv.expect("server");
-        for k in 0..batch {
-            assert_eq!(y.col(k), expected[k], "sample {k}");
+        for (k, want) in expected.iter().enumerate() {
+            assert_eq!(&y.col(k), want, "sample {k}");
         }
     }
 
@@ -462,7 +474,7 @@ mod tests {
         let q = tiny_quantized(94);
         let batch = 1;
         let server = MinionnServer::new(q.clone(), 256);
-        let client = MinionnClient::new(server.public_info(), 256);
+        let client = MinionnClient::new(server.public_model(), 256);
         let (_, _, report) = run_pair(
             NetworkModel::instant(),
             move |ch| {

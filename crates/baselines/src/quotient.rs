@@ -150,12 +150,14 @@ pub use inference::{QuotientClient, QuotientServer};
 /// linear layers, ABNN²'s shared online machinery for everything else.
 pub mod inference {
     use super::{matmul_client, matmul_server};
-    use abnn2_core::inference::{layer_share, PublicModelInfo};
+    use crate::mlp_dims;
+    use abnn2_core::graph::linear_share;
     use abnn2_core::relu::{relu_client, relu_server, ReluVariant};
-    use abnn2_core::ProtocolError;
+    use abnn2_core::{ProtocolError, PublicModel};
     use abnn2_gc::{YaoEvaluator, YaoGarbler};
     use abnn2_math::Matrix;
     use abnn2_net::Transport;
+    use abnn2_nn::graph::LayerGraph;
     use abnn2_nn::quant::QuantizedNetwork;
     use abnn2_ot::{IknpReceiver, IknpSender};
     use rand::Rng;
@@ -169,7 +171,7 @@ pub mod inference {
     /// The QUOTIENT data-owning party.
     #[derive(Debug, Clone)]
     pub struct QuotientClient {
-        info: PublicModelInfo,
+        model: PublicModel,
     }
 
     impl QuotientServer {
@@ -189,8 +191,8 @@ pub mod inference {
 
         /// The public model description.
         #[must_use]
-        pub fn public_info(&self) -> PublicModelInfo {
-            PublicModelInfo::from(&self.net)
+        pub fn public_model(&self) -> PublicModel {
+            PublicModel::from(LayerGraph::from(&self.net))
         }
 
         /// Offline + online secure inference, server side.
@@ -228,7 +230,15 @@ pub mod inference {
             let mut cur = Matrix::new(n0, batch, ring.decode_slice(&x0_bytes));
             let last = self.net.layers.len() - 1;
             for (l, layer) in self.net.layers.iter().enumerate() {
-                let y0 = layer_share(layer, &cur, &us[l], ring);
+                let y0 = linear_share(
+                    &layer.weights,
+                    &layer.bias,
+                    layer.out_dim,
+                    layer.in_dim,
+                    &cur,
+                    &us[l],
+                    ring,
+                );
                 if l == last {
                     ch.send(&ring.encode_slice(y0.as_slice()))?;
                     return Ok(());
@@ -244,8 +254,8 @@ pub mod inference {
     impl QuotientClient {
         /// Creates a client for a served ternary model.
         #[must_use]
-        pub fn new(info: PublicModelInfo) -> Self {
-            QuotientClient { info }
+        pub fn new(model: PublicModel) -> Self {
+            QuotientClient { model }
         }
 
         /// Offline + online secure inference, client side; returns the raw
@@ -260,21 +270,22 @@ pub mod inference {
             inputs_fp: &[Vec<u64>],
             rng: &mut R,
         ) -> Result<Matrix, ProtocolError> {
-            let ring = self.info.config.ring;
-            let fw = self.info.config.weight_frac_bits;
+            let dims = mlp_dims(&self.model)?;
+            let ring = self.model.config().ring;
+            let fw = self.model.config().weight_frac_bits;
             let batch = inputs_fp.len();
-            let n0 = self.info.dims[0];
+            let n0 = dims[0];
             if batch == 0 || inputs_fp.iter().any(|x| x.len() != n0) {
                 return Err(ProtocolError::Dimension("inputs must be batch × n0"));
             }
             let mut ot = IknpSender::setup(ch, rng)?;
             let mut yao = YaoGarbler::setup(ch, rng)?;
-            let n_layers = self.info.dims.len() - 1;
+            let n_layers = dims.len() - 1;
             let mut rs = Vec::with_capacity(n_layers);
             let mut vs = Vec::with_capacity(n_layers);
             for l in 0..n_layers {
-                let r = Matrix::random(self.info.dims[l], batch, &ring, rng);
-                let v = matmul_client(ch, &mut ot, &r, self.info.dims[l + 1], ring)?;
+                let r = Matrix::random(dims[l], batch, &ring, rng);
+                let v = matmul_client(ch, &mut ot, &r, dims[l + 1], ring)?;
                 rs.push(r);
                 vs.push(v);
             }
@@ -289,7 +300,7 @@ pub mod inference {
             for l in 0..n_layers {
                 let y1 = &vs[l];
                 if l == n_layers - 1 {
-                    let m = self.info.dims[n_layers];
+                    let m = dims[n_layers];
                     let y0_bytes = ch.recv()?;
                     if y0_bytes.len() != m * batch * ring.byte_len() {
                         return Err(ProtocolError::Malformed("output share length"));
@@ -416,7 +427,7 @@ mod tests {
             data.train.iter().take(batch).map(|s| codec.encode_vec(&s.pixels)).collect();
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
         let server = inference::QuotientServer::new(q.clone());
-        let client = inference::QuotientClient::new(server.public_info());
+        let client = inference::QuotientClient::new(server.public_model());
         let inputs2 = inputs_fp.clone();
         let (srv, y, _) = run_pair(
             NetworkModel::instant(),
@@ -430,8 +441,8 @@ mod tests {
             },
         );
         srv.expect("server");
-        for k in 0..batch {
-            assert_eq!(y.col(k), expected[k], "sample {k}");
+        for (k, want) in expected.iter().enumerate() {
+            assert_eq!(&y.col(k), want, "sample {k}");
         }
     }
 

@@ -31,13 +31,11 @@
 
 use crate::graph::{weight_product, SecureGraph, ServedModel};
 use crate::handshake::{graph_digests, SessionParams};
-use crate::inference::PublicModelInfo;
 use crate::matbeaver::{deal_matrix_triple, MatrixTriple};
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
 use abnn2_nn::conv::im2col;
 use abnn2_nn::graph::{LayerGraph, LayerOp};
-use abnn2_nn::quant::QuantizedNetwork;
 use abnn2_ot::OfflineMode;
 use rand::Rng;
 
@@ -72,19 +70,12 @@ pub struct BundleKey {
 
 impl BundleKey {
     /// The key for a layer graph at a given batch size, in the portable
-    /// IKNP mode — the canonical derivation; the model-facing constructor
-    /// delegates here. Use [`with_mode`](Self::with_mode) for silent
+    /// IKNP mode. Use [`with_mode`](Self::with_mode) for silent
     /// sessions.
     #[must_use]
     pub fn for_graph(graph: &LayerGraph, batch: usize) -> Self {
         let (scheme_digest, model_digest) = graph_digests(graph);
         BundleKey { model_digest, scheme_digest, batch: batch as u32, mode: OfflineMode::Iknp }
-    }
-
-    /// The key for a served MLP at a given batch size.
-    #[must_use]
-    pub fn for_model(info: &PublicModelInfo, batch: usize) -> Self {
-        Self::for_graph(&info.graph(), batch)
     }
 
     /// The key implied by a handshake's negotiated session parameters
@@ -290,27 +281,11 @@ pub fn dealer_bundle_for<R: Rng + ?Sized>(
     (ServerBundle { us, mats: mats0, batch }, ClientBundle { rs, vs, mats: mats1, batch })
 }
 
-/// [`dealer_bundle_for`] specialized to the paper's MLP topology.
-///
-/// # Panics
-///
-/// Panics if `batch` is zero (a batch a [`SecureGraph`] would reject).
-#[must_use]
-pub fn dealer_bundle<R: Rng + ?Sized>(
-    net: &QuantizedNetwork,
-    batch: usize,
-    rng: &mut R,
-) -> (ServerBundle, ClientBundle) {
-    let model = ServedModel::Mlp(net.clone());
-    let sg = SecureGraph::new(model.graph(), batch).expect("valid MLP graph");
-    dealer_bundle_for(&model, &sg, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use abnn2_math::FragmentScheme;
-    use abnn2_nn::quant::QuantConfig;
+    use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
     use abnn2_nn::Network;
     use rand::SeedableRng;
 
@@ -336,7 +311,8 @@ mod tests {
         let q = tiny(11);
         let ring = q.config.ring;
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let (server, client) = dealer_bundle(&q, 3, &mut rng);
+        let (server, client) =
+            dealer_bundle_for(&ServedModel::from(q.clone()), &graph_of(&q, 3), &mut rng);
         assert_eq!(server.batch, 3);
         for l in 0..q.layers.len() {
             let layer = &q.layers[l];
@@ -376,7 +352,7 @@ mod tests {
                 bias: vec![0; 4],
             }],
         };
-        let model = ServedModel::Cnn(cnn);
+        let model = ServedModel::from(cnn);
         let sg = SecureGraph::new(model.graph(), 1).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
         let (server, client) = dealer_bundle_for(&model, &sg, &mut rng);
@@ -394,7 +370,8 @@ mod tests {
     fn client_bundle_round_trips_on_the_wire() {
         let q = tiny(13);
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let (_, client) = dealer_bundle(&q, 2, &mut rng);
+        let (_, client) =
+            dealer_bundle_for(&ServedModel::from(q.clone()), &graph_of(&q, 2), &mut rng);
         let bytes = client.encode(q.config.ring);
         assert_eq!(bytes[0], BUNDLE_LAYOUT_VERSION);
         let decoded = ClientBundle::decode(&bytes, &graph_of(&q, 2)).unwrap();
@@ -405,7 +382,8 @@ mod tests {
     fn truncated_bundle_is_malformed() {
         let q = tiny(15);
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        let (_, client) = dealer_bundle(&q, 1, &mut rng);
+        let (_, client) =
+            dealer_bundle_for(&ServedModel::from(q.clone()), &graph_of(&q, 1), &mut rng);
         let mut bytes = client.encode(q.config.ring);
         bytes.pop();
         assert_eq!(
@@ -418,7 +396,8 @@ mod tests {
     fn wrong_version_byte_is_malformed() {
         let q = tiny(15);
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        let (_, client) = dealer_bundle(&q, 1, &mut rng);
+        let (_, client) =
+            dealer_bundle_for(&ServedModel::from(q.clone()), &graph_of(&q, 1), &mut rng);
         let mut bytes = client.encode(q.config.ring);
         bytes[0] = 1;
         assert_eq!(
@@ -434,24 +413,24 @@ mod tests {
     #[test]
     fn keys_depend_on_model_scheme_and_batch() {
         let q = tiny(17);
-        let info = PublicModelInfo::from(&q);
-        let base = BundleKey::for_model(&info, 1);
-        assert_eq!(base, BundleKey::for_model(&info, 1));
-        assert_ne!(base, BundleKey::for_model(&info, 2));
+        let info = LayerGraph::from(&q);
+        let base = BundleKey::for_graph(&info, 1);
+        assert_eq!(base, BundleKey::for_graph(&info, 1));
+        assert_ne!(base, BundleKey::for_graph(&info, 2));
 
         let mut other = info.clone();
         other.config.scheme = FragmentScheme::ternary();
-        assert_ne!(base.scheme_digest, BundleKey::for_model(&other, 1).scheme_digest);
+        assert_ne!(base.scheme_digest, BundleKey::for_graph(&other, 1).scheme_digest);
 
         let q2 = {
             let net = Network::new(&[6, 7, 3], 18);
             QuantizedNetwork::quantize(&net, q.config.clone())
         };
-        let info2 = PublicModelInfo::from(&q2);
-        assert_ne!(base.model_digest, BundleKey::for_model(&info2, 1).model_digest);
+        let info2 = LayerGraph::from(&q2);
+        assert_ne!(base.model_digest, BundleKey::for_graph(&info2, 1).model_digest);
 
         // The handshake's view and the pool's view agree.
-        let params = SessionParams::for_model(&info, crate::relu::ReluVariant::Oblivious, 1);
+        let params = SessionParams::for_graph(&info, crate::relu::ReluVariant::Oblivious, 1);
         assert_eq!(BundleKey::from_params(&params), base);
     }
 
@@ -460,8 +439,7 @@ mod tests {
         // A bundle pooled for silent sessions must be invisible to an IKNP
         // session with otherwise identical parameters, and vice versa.
         let q = tiny(17);
-        let info = PublicModelInfo::from(&q);
-        let iknp = BundleKey::for_model(&info, 1);
+        let iknp = BundleKey::for_graph(&LayerGraph::from(&q), 1);
         let silent = iknp.with_mode(OfflineMode::Silent);
         assert_eq!(iknp.mode, OfflineMode::Iknp);
         assert_eq!(silent.mode, OfflineMode::Silent);

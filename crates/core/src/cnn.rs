@@ -10,10 +10,13 @@
 //!
 //! The pipeline (conv → ReLU(+truncation) → max-pool → dense stack) lowers
 //! to the [`LayerGraph`] IR and runs on the shared planner/executor in
-//! [`crate::graph`]: [`SecureServer::for_model`] and
-//! [`SecureClient::for_model`] accept CNN models directly. Results match
+//! [`crate::graph`]: [`SecureServer::for_model`] takes a `QuantizedCnn`
+//! directly, and [`SecureClient::for_model`] takes its public graph. This
+//! module holds only the max-pool circuit halves. Results match
 //! [`QuantizedCnn::forward_exact`] share-for-share.
 //!
+//! [`LayerGraph`]: abnn2_nn::graph::LayerGraph
+//! [`QuantizedCnn::forward_exact`]: abnn2_nn::QuantizedCnn::forward_exact
 //! [`SecureServer::for_model`]: crate::inference::SecureServer::for_model
 //! [`SecureClient::for_model`]: crate::inference::SecureClient::for_model
 
@@ -22,58 +25,8 @@ use abnn2_gc::circuit::{bits_to_u64, u64_to_bits};
 use abnn2_gc::{circuits, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
-use abnn2_nn::conv::{pool_windows, ConvShape, QuantizedCnn};
-use abnn2_nn::graph::LayerGraph;
-use abnn2_nn::quant::QuantConfig;
+use abnn2_nn::conv::{pool_windows, ConvShape};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Public description of a served CNN (architecture, no weights).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PublicCnnInfo {
-    /// Fixed-point hyper-parameters.
-    pub config: QuantConfig,
-    /// Input feature-map shape.
-    pub in_shape: ConvShape,
-    /// Filter count of the conv layer.
-    pub out_channels: usize,
-    /// Kernel height / width / stride.
-    pub kernel: (usize, usize, usize),
-    /// Pooling window.
-    pub pool_window: usize,
-    /// Dense dims after flattening the pooled map: `[in, hidden…, out]`.
-    pub dense_dims: Vec<usize>,
-}
-
-impl From<&QuantizedCnn> for PublicCnnInfo {
-    fn from(net: &QuantizedCnn) -> Self {
-        let mut dense_dims = vec![net.dense[0].in_dim];
-        dense_dims.extend(net.dense.iter().map(|l| l.out_dim));
-        PublicCnnInfo {
-            config: net.config.clone(),
-            in_shape: net.conv.in_shape,
-            out_channels: net.conv.out_channels,
-            kernel: (net.conv.kh, net.conv.kw, net.conv.stride),
-            pool_window: net.pool_window,
-            dense_dims,
-        }
-    }
-}
-
-impl PublicCnnInfo {
-    /// The layer graph this architecture lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        LayerGraph::cnn(
-            self.in_shape,
-            self.out_channels,
-            self.kernel,
-            self.pool_window,
-            &self.dense_dims,
-            self.config.clone(),
-        )
-    }
-}
 
 /// Secure max-pool, server (evaluator) side: pools its shares of a CHW map
 /// into fresh shares of the window maxima.
@@ -150,8 +103,8 @@ mod tests {
     use crate::inference::{SecureClient, SecureServer};
     use abnn2_math::FragmentScheme;
     use abnn2_net::{run_pair, NetworkModel};
-    use abnn2_nn::conv::QuantizedConv;
-    use abnn2_nn::quant::QuantizedDense;
+    use abnn2_nn::conv::{QuantizedCnn, QuantizedConv};
+    use abnn2_nn::quant::{QuantConfig, QuantizedDense};
     use rand::SeedableRng;
 
     fn small_cnn(seed: u64, scheme: FragmentScheme) -> QuantizedCnn {

@@ -749,7 +749,7 @@ mod tests {
     /// neither loops nor duplicates effects.
     #[test]
     fn empty_driver_parks_on_the_hello() {
-        let server = Arc::new(SecureServer::new(tiny_model()));
+        let server = Arc::new(SecureServer::for_model(tiny_model()));
         let mut driver = driver_for(&server, 1);
         assert_eq!(driver.step(), DriverStep::NeedRecv);
         assert_eq!(driver.take_effects(), vec![DriverEffect::Mark("handshake".into())]);
@@ -767,8 +767,8 @@ mod tests {
         let q = tiny_model();
         let x: Vec<u64> = (0..10).map(|j| (j * 37 + 5) & 0xFFF).collect();
         let expected = q.forward_exact(&x);
-        let server = Arc::new(SecureServer::new(q));
-        let client = SecureClient::new(server.public_info());
+        let server = Arc::new(SecureServer::for_model(q));
+        let client = SecureClient::for_model(server.public_model());
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
 
         let (suspensions, hello_replies, y) = std::thread::scope(|scope| {
@@ -806,8 +806,8 @@ mod tests {
         let q = tiny_model();
         let x: Vec<u64> = (0..10).map(|j| (j * 13 + 1) & 0xFFF).collect();
         let expected = q.forward_exact(&x);
-        let server = Arc::new(SecureServer::new(q));
-        let client = SecureClient::new(server.public_info());
+        let server = Arc::new(SecureServer::for_model(q));
+        let client = SecureClient::for_model(server.public_model());
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
         let y = std::thread::scope(|scope| {
             let x2 = x.clone();
@@ -831,8 +831,8 @@ mod tests {
     /// observes the symmetric error instead of hanging.
     #[test]
     fn negotiation_failure_externalizes_the_reply() {
-        let server = Arc::new(SecureServer::new(tiny_model()));
-        let other = SecureServer::new(QuantizedNetwork::quantize(
+        let server = Arc::new(SecureServer::for_model(tiny_model()));
+        let other = SecureServer::for_model(QuantizedNetwork::quantize(
             &Network::new(&[10, 8, 4], 78),
             QuantConfig {
                 ring: Ring::new(32),

@@ -32,10 +32,10 @@
 //! `online:op2/relu`, so metering transports report bytes and time per
 //! layer while plain transports ignore the calls.
 
-use crate::cnn::{maxpool_client, PublicCnnInfo};
+use crate::cnn::maxpool_client;
 use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
-use crate::inference::{ClientOffline, PublicModelInfo, PublicTransformerInfo};
+use crate::inference::ClientOffline;
 use crate::matbeaver::{generate_matrix_p1, mul_matrix_shares, MatrixTriple};
 use crate::matmul::{triplet_client_with, TripletMode};
 use crate::nonlinear::{gelu_client, layernorm_client, matmul_close_client, softmax_client};
@@ -46,49 +46,52 @@ use abnn2_math::{Matrix, Ring};
 use abnn2_net::Transport;
 use abnn2_nn::conv::im2col;
 use abnn2_nn::graph::{LayerGraph, LayerOp, OpResource};
-use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
+use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
 use abnn2_ot::{IknpReceiver, IknpSender};
 use rand::Rng;
 
-/// A server-side model of any supported topology, with its weights.
+/// A server-side model of any supported topology: the [`LayerGraph`] it
+/// lowers to plus its weights. Built from a `QuantizedNetwork`, a
+/// `QuantizedCnn` or a `QuantizedTransformer`.
 #[derive(Debug, Clone)]
-pub enum ServedModel {
-    /// Fully-connected stack (the paper's evaluation target).
-    Mlp(QuantizedNetwork),
-    /// Convolutional extension: conv → ReLU → max-pool → dense stack.
-    Cnn(QuantizedCnn),
-    /// Quantized transformer encoder (attention + GELU feed-forward +
-    /// LayerNorm), served through the extended op family.
-    Transformer {
-        /// The model, with its per-token projection weights (boxed: the
-        /// transformer carries far more inline state than the other arms).
-        model: Box<QuantizedTransformer>,
-        /// Per-linear-op dense layers in graph order, with the per-token
-        /// projections expanded block-diagonally once at construction so
-        /// the executor's weight lookups can return borrows.
-        expanded: Vec<QuantizedDense>,
-    },
+pub struct ServedModel {
+    graph: LayerGraph,
+    /// `(weights, bias)` per linear op in graph order (row-major `m × n`
+    /// weights, one bias entry per output row). A CNN's conv filter is
+    /// linear op 0; a transformer's per-token projections are expanded
+    /// block-diagonally.
+    linear: Vec<(Vec<i64>, Vec<u64>)>,
 }
 
 impl From<QuantizedNetwork> for ServedModel {
     fn from(net: QuantizedNetwork) -> Self {
-        ServedModel::Mlp(net)
+        let graph = LayerGraph::from(&net);
+        let linear = net.layers.into_iter().map(|l| (l.weights, l.bias)).collect();
+        ServedModel { graph, linear }
     }
 }
 
 impl From<QuantizedCnn> for ServedModel {
     fn from(net: QuantizedCnn) -> Self {
-        ServedModel::Cnn(net)
+        let graph = LayerGraph::from(&net);
+        let conv = (net.conv.weights, net.conv.bias);
+        let dense = net.dense.into_iter().map(|l| (l.weights, l.bias));
+        ServedModel { graph, linear: std::iter::once(conv).chain(dense).collect() }
     }
 }
 
 impl From<QuantizedTransformer> for ServedModel {
     fn from(model: QuantizedTransformer) -> Self {
-        let expanded =
-            (0..model.graph().linear_count()).map(|li| model.linear_params(li)).collect();
-        ServedModel::Transformer { model: Box::new(model), expanded }
+        let graph = LayerGraph::from(&model);
+        let linear = (0..graph.linear_count())
+            .map(|li| {
+                let l = model.linear_params(li);
+                (l.weights, l.bias)
+            })
+            .collect();
+        ServedModel { graph, linear }
     }
 }
 
@@ -96,86 +99,39 @@ impl ServedModel {
     /// The layer graph this model lowers to.
     #[must_use]
     pub fn graph(&self) -> LayerGraph {
-        match self {
-            ServedModel::Mlp(net) => LayerGraph::from(net),
-            ServedModel::Cnn(net) => LayerGraph::from(net),
-            ServedModel::Transformer { model, .. } => LayerGraph::from(model.as_ref()),
-        }
+        self.graph.clone()
     }
 
     /// Fixed-point pipeline hyper-parameters.
     #[must_use]
     pub fn config(&self) -> &QuantConfig {
-        match self {
-            ServedModel::Mlp(net) => &net.config,
-            ServedModel::Cnn(net) => &net.config,
-            ServedModel::Transformer { model, .. } => &model.config,
-        }
+        &self.graph.config
     }
 
     /// The weight-free public description to hand to clients.
     #[must_use]
     pub fn public(&self) -> PublicModel {
-        match self {
-            ServedModel::Mlp(net) => PublicModel::Mlp(PublicModelInfo::from(net)),
-            ServedModel::Cnn(net) => PublicModel::Cnn(PublicCnnInfo::from(net)),
-            ServedModel::Transformer { model, .. } => {
-                PublicModel::Transformer(PublicTransformerInfo::from(model.as_ref()))
-            }
-        }
+        PublicModel::from(self.graph())
     }
 
-    /// Weights and bias of the `index`-th linear op, in graph order
-    /// (row-major `m × n` weights, one bias entry per output row).
+    /// Weights and bias of the `index`-th linear op, in graph order.
     pub(crate) fn linear_params(&self, index: usize) -> (&[i64], &[u64]) {
-        match self {
-            ServedModel::Mlp(net) => {
-                let l = &net.layers[index];
-                (&l.weights, &l.bias)
-            }
-            ServedModel::Cnn(net) => {
-                if index == 0 {
-                    (&net.conv.weights, &net.conv.bias)
-                } else {
-                    let l = &net.dense[index - 1];
-                    (&l.weights, &l.bias)
-                }
-            }
-            ServedModel::Transformer { expanded, .. } => {
-                let l = &expanded[index];
-                (&l.weights, &l.bias)
-            }
-        }
+        let (weights, bias) = &self.linear[index];
+        (weights, bias)
     }
 }
 
-/// The client-side view of a served model: architecture and fixed-point
-/// hyper-parameters, never weights.
+/// The client-side view of a served model: its [`LayerGraph`], which
+/// carries the architecture and the fixed-point hyper-parameters, never
+/// weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PublicModel {
-    /// Fully-connected stack.
-    Mlp(PublicModelInfo),
-    /// Convolutional extension.
-    Cnn(PublicCnnInfo),
-    /// Quantized transformer encoder.
-    Transformer(PublicTransformerInfo),
+pub struct PublicModel {
+    graph: LayerGraph,
 }
 
-impl From<PublicModelInfo> for PublicModel {
-    fn from(info: PublicModelInfo) -> Self {
-        PublicModel::Mlp(info)
-    }
-}
-
-impl From<PublicCnnInfo> for PublicModel {
-    fn from(info: PublicCnnInfo) -> Self {
-        PublicModel::Cnn(info)
-    }
-}
-
-impl From<PublicTransformerInfo> for PublicModel {
-    fn from(info: PublicTransformerInfo) -> Self {
-        PublicModel::Transformer(info)
+impl From<LayerGraph> for PublicModel {
+    fn from(graph: LayerGraph) -> Self {
+        PublicModel { graph }
     }
 }
 
@@ -183,21 +139,13 @@ impl PublicModel {
     /// The layer graph this model lowers to.
     #[must_use]
     pub fn graph(&self) -> LayerGraph {
-        match self {
-            PublicModel::Mlp(info) => info.graph(),
-            PublicModel::Cnn(info) => info.graph(),
-            PublicModel::Transformer(info) => info.graph(),
-        }
+        self.graph.clone()
     }
 
     /// Fixed-point pipeline hyper-parameters.
     #[must_use]
     pub fn config(&self) -> &QuantConfig {
-        match self {
-            PublicModel::Mlp(info) => &info.config,
-            PublicModel::Cnn(info) => &info.config,
-            PublicModel::Transformer(info) => info.config(),
-        }
+        &self.graph.config
     }
 }
 
@@ -851,9 +799,9 @@ mod tests {
         let u = Matrix::new(2, 2, vec![9, 8, 7, 6]);
         let y = linear_share(&weights, &bias, 2, 3, &r, &u, ring);
         let wr = weight_product(&weights, 2, 3, &r, ring);
-        for i in 0..2 {
+        for (i, &b) in bias.iter().enumerate() {
             for k in 0..2 {
-                let expect = ring.add(ring.add(wr.get(i, k), bias[i]), u.get(i, k));
+                let expect = ring.add(ring.add(wr.get(i, k), b), u.get(i, k));
                 assert_eq!(y.get(i, k), expect);
             }
         }

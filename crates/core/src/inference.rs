@@ -1,10 +1,10 @@
 //! End-to-end secure inference (Fig 2 of the paper) — thin adapters over
 //! the [`crate::graph`] planner/executor.
 //!
-//! The server holds a [`QuantizedNetwork`]; the client holds inputs and the
-//! public [`PublicModelInfo`] (architecture + fixed-point hyper-parameters —
-//! never the weights). Both lower the model to the shared
-//! [`LayerGraph`] IR and drive the graph executor:
+//! The server holds a [`ServedModel`] (an MLP, CNN or transformer with its
+//! weights); the client holds inputs and the [`PublicModel`] — the model's
+//! [`LayerGraph`], i.e. architecture plus fixed-point hyper-parameters,
+//! never the weights. Both drive the graph executor over that graph:
 //!
 //! * **offline** — data-independent: the planner emits one dot-product
 //!   triplet requirement `U + V = W·R` per linear op, generated from
@@ -15,10 +15,10 @@
 //!   *is* the next linear op's `R`, and the graph's terminal `Output` op
 //!   opens the final shares toward the client.
 //!
-//! The client's reconstructed outputs equal
-//! [`QuantizedNetwork::forward_exact`] bit for bit. The same adapters
-//! serve CNNs through [`crate::graph::ServedModel`]; see [`crate::cnn`]
-//! for the topology-specific convenience wrappers.
+//! The client's reconstructed outputs equal the plaintext model's
+//! `forward_exact` bit for bit, for every topology.
+//!
+//! [`LayerGraph`]: abnn2_nn::graph::LayerGraph
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::ExecConfig;
@@ -32,90 +32,9 @@ use crate::relu::ReluVariant;
 use crate::session::{ClientSession, ServerSession};
 use crate::stepper::{OfflineCursor, OnlineCursor};
 use crate::ProtocolError;
-use abnn2_math::{Matrix, Ring};
+use abnn2_math::Matrix;
 use abnn2_net::Transport;
-use abnn2_nn::graph::LayerGraph;
-use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
-use abnn2_nn::transformer::QuantizedTransformer;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// The public description of a served model: everything the client needs to
-/// run the protocol, nothing that reveals the weights.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PublicModelInfo {
-    /// Layer dimensions `[in, hidden…, out]`.
-    pub dims: Vec<usize>,
-    /// Fixed-point pipeline hyper-parameters (ring, fraction bits, scheme).
-    pub config: QuantConfig,
-}
-
-impl From<&QuantizedNetwork> for PublicModelInfo {
-    fn from(net: &QuantizedNetwork) -> Self {
-        PublicModelInfo { dims: net.dims(), config: net.config.clone() }
-    }
-}
-
-impl PublicModelInfo {
-    /// The layer graph this architecture lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        LayerGraph::mlp(&self.dims, self.config.clone())
-    }
-}
-
-/// The public description of a served transformer encoder: shape
-/// hyper-parameters and the validated layer graph, never weights. Unlike
-/// [`PublicModelInfo`] it stores the graph it was derived from (transformer
-/// graph construction is fallible; deriving once keeps `graph()`
-/// infallible and the handshake digests stable).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublicTransformerInfo {
-    /// Sequence length (tokens).
-    pub seq: usize,
-    /// Model width per token.
-    pub d: usize,
-    /// Feed-forward hidden width per token.
-    pub d_ff: usize,
-    /// Classifier output classes.
-    pub n_classes: usize,
-    graph: LayerGraph,
-}
-
-impl From<&QuantizedTransformer> for PublicTransformerInfo {
-    fn from(model: &QuantizedTransformer) -> Self {
-        PublicTransformerInfo {
-            seq: model.seq,
-            d: model.d,
-            d_ff: model.d_ff,
-            n_classes: model.n_classes,
-            graph: model.graph().clone(),
-        }
-    }
-}
-
-impl PublicTransformerInfo {
-    /// The layer graph this architecture lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        self.graph.clone()
-    }
-
-    /// Fixed-point pipeline hyper-parameters.
-    #[must_use]
-    pub fn config(&self) -> &QuantConfig {
-        &self.graph.config
-    }
-}
-
-/// `W·X + b + U` — the server's online share of a dense layer; delegates to
-/// the op-generic [`crate::graph::linear_share`]. Exposed so baseline
-/// protocols (MiniONN, QUOTIENT) can share the identical online linear step
-/// while substituting their own offline triplets.
-#[must_use]
-pub fn layer_share(layer: &QuantizedDense, x: &Matrix, u: &Matrix, ring: Ring) -> Matrix {
-    crate::graph::linear_share(&layer.weights, &layer.bias, layer.out_dim, layer.in_dim, x, u, ring)
-}
 
 /// Server-side state after the offline phase: one triplet share `U` per
 /// linear op of the graph, in graph order.
@@ -183,9 +102,7 @@ impl ClientOffline {
     }
 }
 
-/// The model-serving party. Holds any [`ServedModel`] topology; the MLP
-/// constructor [`SecureServer::new`] and the CNN-aware
-/// [`SecureServer::for_model`] drive the identical graph executor.
+/// The model-serving party. Holds any [`ServedModel`] topology.
 #[derive(Debug, Clone)]
 pub struct SecureServer {
     pub(crate) model: ServedModel,
@@ -193,13 +110,8 @@ pub struct SecureServer {
 }
 
 impl SecureServer {
-    /// Serves an MLP with the default (fully oblivious) activation protocol.
-    #[must_use]
-    pub fn new(net: QuantizedNetwork) -> Self {
-        Self::for_model(net)
-    }
-
-    /// Serves any supported model topology.
+    /// Serves any supported model topology with the default (fully
+    /// oblivious) activation protocol.
     #[must_use]
     pub fn for_model(model: impl Into<ServedModel>) -> Self {
         SecureServer { model: model.into(), exec: ExecConfig::new() }
@@ -229,22 +141,6 @@ impl SecureServer {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.exec = self.exec.with_threads(threads);
         self
-    }
-
-    /// The public MLP description to hand to clients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the served model is not an MLP — use
-    /// [`public_model`](Self::public_model) for topology-generic code.
-    #[must_use]
-    pub fn public_info(&self) -> PublicModelInfo {
-        match &self.model {
-            ServedModel::Mlp(net) => PublicModelInfo::from(net),
-            ServedModel::Cnn(_) | ServedModel::Transformer { .. } => {
-                panic!("public_info is MLP-only; use public_model")
-            }
-        }
     }
 
     /// The public description of the served model, any topology.
@@ -412,8 +308,7 @@ impl SecureServer {
     }
 }
 
-/// The data-owning party. Holds any [`PublicModel`] topology; see
-/// [`SecureClient::new`] (MLP) and [`SecureClient::for_model`].
+/// The data-owning party. Holds any [`PublicModel`] topology.
 #[derive(Debug, Clone)]
 pub struct SecureClient {
     pub(crate) model: PublicModel,
@@ -422,12 +317,6 @@ pub struct SecureClient {
 }
 
 impl SecureClient {
-    /// Creates a client for a served MLP.
-    #[must_use]
-    pub fn new(info: PublicModelInfo) -> Self {
-        Self::for_model(info)
-    }
-
     /// Creates a client for a served model of any supported topology.
     #[must_use]
     pub fn for_model(model: impl Into<PublicModel>) -> Self {
@@ -467,22 +356,6 @@ impl SecureClient {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.exec = self.exec.with_threads(threads);
         self
-    }
-
-    /// The MLP description this client was built for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not an MLP — use
-    /// [`public_model`](Self::public_model) for topology-generic code.
-    #[must_use]
-    pub fn public_info(&self) -> &PublicModelInfo {
-        match &self.model {
-            PublicModel::Mlp(info) => info,
-            PublicModel::Cnn(_) | PublicModel::Transformer(_) => {
-                panic!("public_info is MLP-only; use public_model")
-            }
-        }
     }
 
     /// The public model description, any topology.
@@ -646,8 +519,9 @@ impl SecureClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abnn2_math::FragmentScheme;
+    use abnn2_math::{FragmentScheme, Ring};
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
+    use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
     use abnn2_nn::{Network, SyntheticMnist};
     use rand::SeedableRng;
 
@@ -668,8 +542,8 @@ mod tests {
         let inputs_fp: Vec<Vec<u64>> = inputs.iter().map(|x| codec.encode_vec(x)).collect();
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
-        let server = SecureServer::new(q.clone()).with_variant(variant);
-        let client = SecureClient::new(server.public_info()).with_variant(variant);
+        let server = SecureServer::for_model(q.clone()).with_variant(variant);
+        let client = SecureClient::for_model(server.public_model()).with_variant(variant);
         let inputs_fp2 = inputs_fp.clone();
         let (srv, y, _) = run_pair(
             NetworkModel::instant(),
@@ -684,8 +558,8 @@ mod tests {
             },
         );
         srv.expect("server");
-        for k in 0..batch {
-            assert_eq!(y.col(k), expected[k], "sample {k} must match forward_exact");
+        for (k, want) in expected.iter().enumerate() {
+            assert_eq!(&y.col(k), want, "sample {k} must match forward_exact");
         }
     }
 
@@ -718,8 +592,8 @@ mod tests {
         let q = tiny_quantized(54, FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]), 4);
         let data = SyntheticMnist::generate(2, 0, 70);
         let inputs: Vec<Vec<f64>> = data.train.iter().map(|s| s.pixels.clone()).collect();
-        let server = SecureServer::new(q.clone());
-        let client = SecureClient::new(server.public_info());
+        let server = SecureServer::for_model(q.clone());
+        let client = SecureClient::for_model(server.public_model());
         let inputs2 = inputs.clone();
         let (_, logits, _) = run_pair(
             NetworkModel::instant(),
@@ -746,8 +620,8 @@ mod tests {
         let inputs: Vec<Vec<f64>> = data.train.iter().map(|s| s.pixels.clone()).collect();
         let codec = q.config.activation_codec();
         let inputs_fp: Vec<Vec<u64>> = inputs.iter().map(|x| codec.encode_vec(x)).collect();
-        let server = SecureServer::new(q.clone());
-        let client = SecureClient::new(server.public_info());
+        let server = SecureServer::for_model(q.clone());
+        let client = SecureClient::for_model(server.public_model());
         let inputs_fp2 = inputs_fp.clone();
         let (srv, classes, _) = run_pair(
             NetworkModel::instant(),
@@ -771,7 +645,7 @@ mod tests {
     #[test]
     fn zero_batch_rejected() {
         let q = tiny_quantized(55, FragmentScheme::binary(), 0);
-        let server = SecureServer::new(q);
+        let server = SecureServer::for_model(q);
         let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         assert_eq!(

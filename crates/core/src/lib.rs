@@ -32,7 +32,7 @@
 //!   [`resilient::ResilientClient::run_raw`] is the one client retry flow
 //!   (resume, warm bundles, busy backoff),
 //! * [`bundle`] — portable offline-phase state ([`ServerBundle`] /
-//!   [`ClientBundle`]) keyed by [`BundleKey`], plus [`dealer_bundle`]
+//!   [`ClientBundle`]) keyed by [`BundleKey`], plus [`dealer_bundle_for`]
 //!   dealer-mode generation — the substrate for `abnn2-serve`'s precompute
 //!   pool and for cross-connection resume checkpoints.
 //!
@@ -40,8 +40,8 @@
 //!
 //! See `examples/quickstart.rs` at the workspace root; the short version:
 //! quantize a trained [`abnn2_nn::Network`], hand the quantized model to
-//! [`inference::SecureServer`] and the public
-//! [`inference::PublicModelInfo`] to [`inference::SecureClient`], connect
+//! [`SecureServer::for_model`] and its [`PublicModel`] (from
+//! [`SecureServer::public_model`]) to [`SecureClient::for_model`], connect
 //! them with [`abnn2_net::run_pair`], and the client learns exactly the
 //! logits of [`abnn2_nn::QuantizedNetwork::forward_exact`] — while neither
 //! party sees the other's data.
@@ -71,9 +71,7 @@ mod stepper;
 /// that key pools and negotiate capability without depending on
 /// `abnn2-ot` directly.
 pub use abnn2_ot::OfflineMode;
-pub use bundle::{
-    dealer_bundle, dealer_bundle_for, BundleKey, ClientBundle, ServerBundle, BUNDLE_LAYOUT_VERSION,
-};
+pub use bundle::{dealer_bundle_for, BundleKey, ClientBundle, ServerBundle, BUNDLE_LAYOUT_VERSION};
 pub use config::{ExecConfig, SessionDeadlines};
 pub use driver::{
     drive_blocking, drive_frames, DriveStats, DriverEffect, DriverStep, NullHost, SessionDriver,
@@ -82,7 +80,7 @@ pub use driver::{
 pub use error::ProtocolError;
 pub use graph::{CommCeiling, PublicModel, SecureGraph, ServedModel, TripletPlan};
 pub use handshake::{HelloReply, HelloRequest, ResumeToken, SessionParams, PROTOCOL_VERSION};
-pub use inference::{PublicModelInfo, PublicTransformerInfo, SecureClient, SecureServer};
+pub use inference::{SecureClient, SecureServer};
 pub use matbeaver::MatrixTriple;
 pub use matmul::TripletMode;
 pub use relu::ReluVariant;

@@ -472,9 +472,7 @@ mod tests {
     /// portable KK13 backend and returns (U, V, R, traffic).
     fn run_triplet(
         weights: Vec<i64>,
-        m: usize,
-        n: usize,
-        o: usize,
+        (m, n, o): (usize, usize, usize),
         scheme: FragmentScheme,
         ring: Ring,
         mode: TripletMode,
@@ -527,7 +525,7 @@ mod tests {
         let scheme = FragmentScheme::ternary();
         let weights = vec![-1i64, 0, 1, 1, -1];
         let (u, v, r, _) =
-            run_triplet(weights.clone(), 1, 5, 1, scheme, ring, TripletMode::OneBatch, 100);
+            run_triplet(weights.clone(), (1, 5, 1), scheme, ring, TripletMode::OneBatch, 100);
         let expect = expected_product(&weights, 1, 5, &r, ring);
         assert_eq!(u.add(&v, &ring), expect);
     }
@@ -540,7 +538,7 @@ mod tests {
         let (m, n, o) = (4, 6, 3);
         let weights: Vec<i64> = (0..m * n).map(|_| rng.gen_range(-128i64..128)).collect();
         let (u, v, r, _) =
-            run_triplet(weights.clone(), m, n, o, scheme, ring, TripletMode::MultiBatch, 200);
+            run_triplet(weights.clone(), (m, n, o), scheme, ring, TripletMode::MultiBatch, 200);
         let expect = expected_product(&weights, m, n, &r, ring);
         assert_eq!(u.add(&v, &ring), expect);
     }
@@ -556,9 +554,7 @@ mod tests {
                 let weights: Vec<i64> = (0..6).map(|_| rng.gen_range(lo..=hi)).collect();
                 let (u, v, r, _) = run_triplet(
                     weights.clone(),
-                    2,
-                    3,
-                    1,
+                    (2, 3, 1),
                     scheme.clone(),
                     ring,
                     TripletMode::OneBatch,
@@ -576,21 +572,18 @@ mod tests {
         // The optimizer's balanced base-7 scheme and a signed base-6 scheme
         // run through the same KK13 machinery (any N ≤ 256).
         let ring = Ring::new(32);
-        let mut seed = 600;
-        for scheme in [
+        for (seed, scheme) in (600..).zip([
             FragmentScheme::balanced(7, 3),
             FragmentScheme::base_n_signed(6, 3),
             FragmentScheme::base_n(5, 2),
             FragmentScheme::optimize(8, 1, 32),
-        ] {
+        ]) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let (lo, hi) = scheme.weight_range();
             let weights: Vec<i64> = (0..12).map(|_| rng.gen_range(lo..=hi)).collect();
             let (u, v, r, _) = run_triplet(
                 weights.clone(),
-                3,
-                4,
-                2,
+                (3, 4, 2),
                 scheme.clone(),
                 ring,
                 TripletMode::MultiBatch,
@@ -598,7 +591,6 @@ mod tests {
             );
             let expect = expected_product(&weights, 3, 4, &r, ring);
             assert_eq!(u.add(&v, &ring), expect, "scheme {scheme}");
-            seed += 1;
         }
     }
 
@@ -609,7 +601,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let weights: Vec<i64> = (0..8).map(|_| rng.gen_range(-128i64..128)).collect();
         let (u, v, r, _) =
-            run_triplet(weights.clone(), 2, 4, 2, scheme, ring, TripletMode::MultiBatch, 400);
+            run_triplet(weights.clone(), (2, 4, 2), scheme, ring, TripletMode::MultiBatch, 400);
         assert_eq!(u.add(&v, &ring), expected_product(&weights, 2, 4, &r, ring));
     }
 
@@ -644,10 +636,16 @@ mod tests {
         let ring = Ring::new(32);
         let scheme = FragmentScheme::signed_bit_fields(&[4, 4]); // N = 16: big gap
         let weights: Vec<i64> = (0..32).map(|i| (i % 20) - 10).collect();
-        let (_, _, _, rep1) =
-            run_triplet(weights.clone(), 4, 8, 1, scheme.clone(), ring, TripletMode::OneBatch, 500);
+        let (_, _, _, rep1) = run_triplet(
+            weights.clone(),
+            (4, 8, 1),
+            scheme.clone(),
+            ring,
+            TripletMode::OneBatch,
+            500,
+        );
         let (_, _, _, rep2) =
-            run_triplet(weights, 4, 8, 1, scheme, ring, TripletMode::MultiBatch, 501);
+            run_triplet(weights, (4, 8, 1), scheme, ring, TripletMode::MultiBatch, 501);
         assert!(
             rep1.total_bytes() < rep2.total_bytes(),
             "one-batch {} should beat multi-batch {}",

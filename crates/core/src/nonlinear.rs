@@ -295,7 +295,7 @@ mod tests {
         vals: &[u64],
         seed: u64,
         server: impl FnOnce(&mut abnn2_net::Endpoint, &mut YaoEvaluator, &[u64]) -> Vec<u64> + Send,
-        client: impl FnOnce(&mut abnn2_net::Endpoint, &mut YaoGarbler, &[u64], &[u64]) -> () + Send,
+        client: impl FnOnce(&mut abnn2_net::Endpoint, &mut YaoGarbler, &[u64], &[u64]) + Send,
     ) -> Vec<u64> {
         let ring = Ring::new(BITS);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

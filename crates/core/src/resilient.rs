@@ -33,7 +33,6 @@ use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::SessionDeadlines;
 use crate::driver::{drive_with, DriverEffect, SessionDriver, SessionHost};
 use crate::frames::Bundle;
-use crate::graph::PublicModel;
 use crate::handshake::{handshake_client_ext, HelloRequest, ResumeToken, SessionParams};
 use crate::inference::{ClientOffline, SecureClient, SecureServer};
 use crate::relu::ReluVariant;
@@ -41,6 +40,7 @@ use crate::session::ClientSession;
 use crate::ProtocolError;
 use abnn2_math::Matrix;
 use abnn2_net::{ResilientDriver, RetryPolicy, Transport, TransportError};
+use abnn2_nn::graph::LayerGraph;
 use abnn2_ot::OfflineMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -262,8 +262,8 @@ impl ResilientClient {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let ours = SessionParams::for_public(&self.client.model, self.client.exec.variant, batch);
         let graph = self.client.secure_graph(batch)?;
+        let ours = SessionParams::for_graph(graph.graph(), self.client.exec.variant, batch);
         let mut token: ResumeToken = [0; 16];
         rng.fill(&mut token);
 
@@ -351,7 +351,7 @@ impl ResilientClient {
 /// expectation), claims and parks resume checkpoints in the store, and
 /// never deals bundles.
 struct CheckpointHost<'a> {
-    public: &'a PublicModel,
+    graph: &'a LayerGraph,
     variant: ReluVariant,
     store: &'a CheckpointStore,
     /// Set once an attempt's resume request is accepted.
@@ -360,7 +360,7 @@ struct CheckpointHost<'a> {
 
 impl SessionHost for CheckpointHost<'_> {
     fn params_for(&self, batch: usize) -> SessionParams {
-        SessionParams::for_public(self.public, self.variant, batch)
+        SessionParams::for_graph(self.graph, self.variant, batch)
     }
 
     fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
@@ -482,7 +482,7 @@ impl ResilientServer {
         // Checkpoints live in the shared bounded store, keyed by the
         // client's resume token, so any driver holding the same store can
         // pick the job up; the driver settles them (`SessionDriver::settle`).
-        let public = self.server.public_model();
+        let graph = self.server.model.graph();
         let resumed = Cell::new(false);
         let mut attempts = 0u32;
         ResilientDriver::new(self.policy).run(
@@ -491,7 +491,7 @@ impl ResilientServer {
                 attempts = attempt + 1;
                 ch.set_read_timeout(self.deadlines.read_timeout)?;
                 let host = CheckpointHost {
-                    public: &public,
+                    graph: &graph,
                     variant: self.server.exec.variant,
                     store: &self.store,
                     resumed: &resumed,
@@ -556,10 +556,10 @@ mod tests {
         let expected = q.forward_exact(&inputs[0]);
 
         let (dialer, listener) = sim_link(NetworkModel::instant());
-        let server = ResilientServer::new(SecureServer::new(q))
+        let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(2))
             .with_deadlines(fast_deadlines());
-        let client = ResilientClient::new(SecureClient::new(server.server.public_info()))
+        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
             .with_policy(RetryPolicy::no_delay(2))
             .with_deadlines(fast_deadlines());
 
@@ -584,10 +584,10 @@ mod tests {
         let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
 
         let (dialer, listener) = sim_link(NetworkModel::instant());
-        let server = ResilientServer::new(SecureServer::new(q))
+        let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines());
-        let client = ResilientClient::new(SecureClient::new(server.server.public_info()))
+        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines());
 
@@ -685,7 +685,7 @@ mod tests {
         // Capacity-1 store: a rogue insert between the cut and the
         // reconnect evicts the job's own checkpoint.
         let store = Arc::new(CheckpointStore::new(1));
-        let server = ResilientServer::new(SecureServer::new(q))
+        let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines())
             .with_checkpoint_store(Arc::clone(&store));
@@ -697,7 +697,7 @@ mod tests {
             max_delay: Duration::from_millis(300),
             jitter_seed: 1,
         };
-        let client = ResilientClient::new(SecureClient::new(server.server.public_info()))
+        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
             .with_policy(client_policy)
             .with_deadlines(fast_deadlines());
 
@@ -751,10 +751,9 @@ mod tests {
     fn retry_budget_exhaustion_reports_last_error() {
         let q = tiny_model(98);
         let inputs = sample_inputs(&q, 1, 99);
-        let client =
-            ResilientClient::new(SecureClient::new(crate::inference::PublicModelInfo::from(&q)))
-                .with_policy(RetryPolicy::no_delay(2))
-                .with_deadlines(fast_deadlines());
+        let client = ResilientClient::new(SecureClient::for_model(LayerGraph::from(&q)))
+            .with_policy(RetryPolicy::no_delay(2))
+            .with_deadlines(fast_deadlines());
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
         let err = client

@@ -872,7 +872,7 @@ mod tests {
             let y1: Vec<u64> = ring.sample_vec(&mut rng, n);
             let y0: Vec<u64> = ring.sub_vec(&values, &y1);
             let idx_bits = argmax_index_bits(n);
-            let mask = (seed % (1 << idx_bits)) as u64;
+            let mask = seed % (1 << idx_bits);
             let c = argmax_mask_circuit(bits, n);
             let mut gbits: Vec<bool> = y1.iter().flat_map(|&v| u64_to_bits(v, bits)).collect();
             gbits.extend(u64_to_bits(mask, idx_bits));
@@ -1031,10 +1031,10 @@ mod tests {
             for r in 0..rows {
                 let expect =
                     abnn2_math::fixedops::softmax_row(&ring, f as u32, &v[r * cols..(r + 1) * cols]);
-                for cc in 0..cols {
+                for (cc, &want) in expect.iter().enumerate() {
                     let j = r * cols + cc;
                     let z0 = bits_to_u64(&out[j * bits..(j + 1) * bits]);
-                    prop_assert_eq!(ring.add(z0, z1[j]), expect[cc], "row {} col {}", r, cc);
+                    prop_assert_eq!(ring.add(z0, z1[j]), want, "row {} col {}", r, cc);
                 }
             }
         }
@@ -1077,10 +1077,10 @@ mod tests {
                     shift_a as u32,
                     shift_b as u32,
                 );
-                for i in 0..d {
+                for (i, &want) in expect.iter().enumerate() {
                     let j = t * d + i;
                     let z0 = bits_to_u64(&out[j * bits..(j + 1) * bits]);
-                    prop_assert_eq!(ring.add(z0, z1[j]), expect[i], "token {} elem {}", t, i);
+                    prop_assert_eq!(ring.add(z0, z1[j]), want, "token {} elem {}", t, i);
                 }
             }
         }

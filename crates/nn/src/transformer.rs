@@ -321,7 +321,7 @@ mod tests {
             };
             let mut rng = StdRng::seed_from_u64(9);
             let t = QuantizedTransformer::random(4, 4, 8, 3, cfg, &mut rng).expect("valid");
-            let logits = t.forward(&vec![0.25; 16]);
+            let logits = t.forward(&[0.25; 16]);
             assert_eq!(logits.len(), 3);
         }
     }

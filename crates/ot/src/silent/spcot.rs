@@ -131,9 +131,9 @@ mod tests {
         let mut right = Block::ZERO;
         for (j, &leaf) in leaves.iter().enumerate() {
             if j % 2 == 0 {
-                left = left ^ leaf;
+                left ^= leaf;
             } else {
-                right = right ^ leaf;
+                right ^= leaf;
             }
         }
         assert_eq!(sums[2], (left, right));

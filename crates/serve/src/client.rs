@@ -1,17 +1,20 @@
 //! Client driver for the serving frontend.
 //!
-//! [`ServeClient`] is a TCP front for [`ResilientClient`], the one client
-//! session flow: reconnect-and-resume under a [`RetryPolicy`], warm-bundle
-//! negotiation and busy-rejection backoff all live there. This module adds
-//! what a caller talking to a [`Server`](crate::Server) needs on top:
-//! TCP connection minting and per-phase instrumentation of every attempt.
+//! A client is built from the served model's [`PublicModel`] (its layer
+//! graph, never the weights) via [`ServeClient::for_model`], for every
+//! topology. [`ServeClient`] is a TCP front for [`ResilientClient`], the
+//! one client session flow: reconnect-and-resume under a [`RetryPolicy`],
+//! warm-bundle negotiation and busy-rejection backoff all live there. This
+//! module adds what a caller talking to a [`Server`](crate::Server) needs
+//! on top: TCP connection minting and per-phase instrumentation of every
+//! attempt.
 //! The returned [`ServeReport`] carries the merged phase stats across all
 //! attempts, so callers (and the acceptance tests) can verify a warm
 //! request moved *zero* offline-phase bytes.
 
 use abnn2_core::{
-    ProtocolError, PublicModel, PublicModelInfo, ReluVariant, ResilientClient, RunReport,
-    SecureClient, SessionDeadlines,
+    ProtocolError, PublicModel, ReluVariant, ResilientClient, RunReport, SecureClient,
+    SessionDeadlines,
 };
 use abnn2_math::Matrix;
 use abnn2_net::{InstrumentHandle, InstrumentedTransport, PhaseStats, RetryPolicy, TcpTransport};
@@ -59,15 +62,8 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Client for the MLP described by `info`, requesting warm bundles,
-    /// with the default retry policy and LAN deadlines.
-    #[must_use]
-    pub fn new(info: PublicModelInfo) -> Self {
-        Self::for_model(info)
-    }
-
-    /// Client for any served topology (MLP or CNN) described by a
-    /// [`PublicModel`], requesting warm bundles, with the default retry
+    /// Client for any served topology (MLP, CNN or transformer) described
+    /// by a [`PublicModel`], requesting warm bundles, with the default retry
     /// policy and LAN deadlines. Its default execution options match
     /// `ServeConfig`'s, so a default client and a default server
     /// negotiate successfully out of the box.

@@ -60,6 +60,7 @@ use abnn2_core::{
 use abnn2_net::{
     CommSnapshot, FrameBuffer, InstrumentedTransport, TcpTransport, Transport, TransportError,
 };
+use abnn2_nn::graph::LayerGraph;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
@@ -199,7 +200,8 @@ struct Shared {
     queue: Mutex<QueueState>,
     work: Condvar,
     server: Arc<SecureServer>,
-    info_params: SessionParamsFactory,
+    /// The served model's graph: every hello and bundle key derives from it.
+    graph: LayerGraph,
     config: ServeConfig,
     store: ShardedCheckpointStore,
     /// One pool shard per worker (empty when `pool_depth` is zero).
@@ -223,19 +225,6 @@ fn now_millis(shared: &Shared) -> u64 {
     u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Pre-captured pieces for building `SessionParams` per announced batch
-/// without re-deriving digests on every connection.
-struct SessionParamsFactory {
-    model: abnn2_core::PublicModel,
-    variant: abnn2_core::ReluVariant,
-}
-
-impl SessionParamsFactory {
-    fn for_batch(&self, batch: usize) -> SessionParams {
-        SessionParams::for_public(&self.model, self.variant, batch)
-    }
-}
-
 /// A running multi-client inference service. Dropping the handle drains
 /// and joins all threads.
 pub struct Server {
@@ -257,8 +246,8 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts the acceptor, event-loop worker, and pool threads. Accepts
-    /// any served topology — a `QuantizedNetwork` (MLP) or a
-    /// `QuantizedCnn`.
+    /// any served topology — anything that converts into a
+    /// [`ServedModel`].
     ///
     /// # Errors
     ///
@@ -296,7 +285,7 @@ impl Server {
         } else {
             Vec::new()
         };
-        let public = model.public();
+        let graph = model.graph();
         let server =
             Arc::new(SecureServer::for_model(model.as_ref().clone()).with_exec(config.exec));
         let store = ShardedCheckpointStore::new(config.checkpoint_capacity, config.workers);
@@ -304,7 +293,7 @@ impl Server {
             queue: Mutex::new(QueueState { conns: VecDeque::new(), draining: false }),
             work: Condvar::new(),
             server,
-            info_params: SessionParamsFactory { model: public, variant: config.exec.variant },
+            graph,
             config: config.clone(),
             store,
             pools,
@@ -374,7 +363,7 @@ impl Server {
         if self.shared.pools.is_empty() {
             return false;
         }
-        let base = BundleKey::for_graph(&self.shared.info_params.model.graph(), batch);
+        let base = BundleKey::for_graph(&self.shared.graph, batch);
         let deadline = Instant::now() + timeout;
         self.shared.pools.iter().all(|p| {
             self.shared.config.pool_modes.iter().all(|&mode| {
@@ -515,7 +504,11 @@ fn send_busy(shared: &Shared, stream: TcpStream) {
     let hint = retry_after_hint(shared);
     let _ = stream.set_nonblocking(false);
     if let Ok(mut ch) = TcpTransport::from_stream(stream) {
-        let _ = reject_busy_with(&mut ch, shared.info_params.for_batch(0), hint);
+        let _ = reject_busy_with(
+            &mut ch,
+            SessionParams::for_graph(&shared.graph, shared.config.exec.variant, 0),
+            hint,
+        );
     }
 }
 
@@ -564,7 +557,7 @@ struct WorkerHost<'a> {
 
 impl SessionHost for WorkerHost<'_> {
     fn params_for(&self, batch: usize) -> SessionParams {
-        self.shared.info_params.for_batch(batch)
+        SessionParams::for_graph(&self.shared.graph, self.shared.config.exec.variant, batch)
     }
 
     fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {

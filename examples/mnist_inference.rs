@@ -41,8 +41,8 @@ fn main() {
         for (setting, model) in
             [("LAN", NetworkModel::lan()), ("WAN 24.3MB/s 40ms", NetworkModel::wan_quotient())]
         {
-            let server = SecureServer::new(q.clone()).with_variant(ReluVariant::Oblivious);
-            let client = SecureClient::new(server.public_info());
+            let server = SecureServer::for_model(q.clone()).with_variant(ReluVariant::Oblivious);
+            let client = SecureClient::for_model(server.public_model());
             let input = sample.pixels.clone();
             let (_, logits, report) = run_pair(
                 model,

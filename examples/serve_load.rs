@@ -31,12 +31,10 @@
 //! smoke test (`./scripts/check.sh --serve-smoke` / `--cnn-serve-smoke` /
 //! `--transformer-smoke`).
 
-use abnn2::core::cnn::PublicCnnInfo;
-use abnn2::core::{PublicModelInfo, PublicTransformerInfo};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
-use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv, SyntheticMnist};
+use abnn2::nn::{ConvShape, LayerGraph, Network, QuantizedCnn, QuantizedConv, SyntheticMnist};
 use abnn2::serve::{GovernorConfig, ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -246,7 +244,7 @@ fn report_metrics(
 fn run_mlp(args: &Args, metrics_out: Option<&Path>) {
     let (n_clients, n_requests, spw) = (args.clients, args.requests, args.sessions_per_worker);
     let q = build_model();
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let codec = q.config.activation_codec();
 
     let deadlines = deadlines_for(spw);
@@ -275,7 +273,7 @@ fn run_mlp(args: &Args, metrics_out: Option<&Path>) {
     let per_client: Vec<(usize, usize, u32)> = std::thread::scope(|scope| {
         (0..n_clients)
             .map(|c| {
-                let client = ServeClient::new(info.clone()).with_deadlines(deadlines);
+                let client = ServeClient::for_model(info.clone()).with_deadlines(deadlines);
                 let q = &q;
                 let codec = &codec;
                 let samples = &data.train;
@@ -325,7 +323,7 @@ fn run_cnn(args: &Args, metrics_out: Option<&Path>) {
     let (n_clients, n_requests, spw) = (args.clients, args.requests, args.sessions_per_worker);
     let cnn = build_cnn();
     let ring = cnn.config.ring;
-    let info = PublicCnnInfo::from(&cnn);
+    let info = LayerGraph::from(&cnn);
 
     let deadlines = deadlines_for(spw);
     let config = ServeConfig {
@@ -414,7 +412,7 @@ fn run_transformer(args: &Args, metrics_out: Option<&Path>) {
     let (n_clients, n_requests, spw) = (args.clients, args.requests, args.sessions_per_worker);
     let model = build_transformer();
     let ring = model.config.ring;
-    let info = PublicTransformerInfo::from(&model);
+    let info = LayerGraph::from(&model);
 
     let deadlines = deadlines_for(spw);
     let config = ServeConfig {

@@ -59,7 +59,7 @@ fn build_input(q: &QuantizedNetwork) -> Vec<u64> {
 fn run_server(port: u16) {
     let q = build_model();
     let mut ch = TcpTransport::accept(("127.0.0.1", port)).expect("accept");
-    let server = SecureServer::new(q);
+    let server = SecureServer::for_model(q);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     server.run(&mut ch, 1, &mut rng).expect("server protocol failed");
     ch.flush().expect("flush");
@@ -77,8 +77,8 @@ fn run_client(port: u16) {
 
     // Reference run over the simulated endpoint: same model, same input.
     let (sim_logits, sim_bytes) = {
-        let server = SecureServer::new(q.clone());
-        let client = SecureClient::new(server.public_info());
+        let server = SecureServer::for_model(q.clone());
+        let client = SecureClient::for_model(server.public_model());
         let input2 = input.clone();
         let (_, y, report) = run_pair(
             NetworkModel::instant(),
@@ -97,7 +97,7 @@ fn run_client(port: u16) {
 
     // The real thing: the same client code over a socket.
     let mut ch = TcpTransport::connect(("127.0.0.1", port)).expect("connect");
-    let client = SecureClient::new(SecureServer::new(q.clone()).public_info());
+    let client = SecureClient::for_model(SecureServer::for_model(q.clone()).public_model());
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let state = client.offline(&mut ch, 1, &mut rng).expect("offline phase failed");
     let y = client.online_raw(&mut ch, state, &[input], &mut rng).expect("online phase failed");

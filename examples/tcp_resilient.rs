@@ -66,10 +66,10 @@ fn main() {
         jitter_seed: 7,
     };
 
-    let server = ResilientServer::new(SecureServer::new(q.clone()))
+    let server = ResilientServer::new(SecureServer::for_model(q.clone()))
         .with_policy(policy)
         .with_deadlines(deadlines);
-    let info = SecureServer::new(q.clone()).public_info();
+    let info = SecureServer::for_model(q.clone()).public_model();
 
     let server_thread = std::thread::spawn(move || {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
@@ -92,8 +92,9 @@ fn main() {
         )
     });
 
-    let client =
-        ResilientClient::new(SecureClient::new(info)).with_policy(policy).with_deadlines(deadlines);
+    let client = ResilientClient::new(SecureClient::for_model(info))
+        .with_policy(policy)
+        .with_deadlines(deadlines);
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let (y, report) = client
         .run_raw(

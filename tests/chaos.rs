@@ -28,9 +28,7 @@
 //! ```
 
 use abnn2::core::handshake::{handshake_client_ext, HelloRequest, SessionParams};
-use abnn2::core::inference::{
-    ClientOffline, PublicModelInfo, PublicTransformerInfo, SecureClient, SecureServer,
-};
+use abnn2::core::inference::{ClientOffline, SecureClient, SecureServer};
 use abnn2::core::resilient::{ResilientClient, ResilientServer};
 use abnn2::core::session::ClientSession;
 use abnn2::core::{ExecConfig, ProtocolError, SessionDeadlines};
@@ -41,7 +39,7 @@ use abnn2::net::{
 };
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
-use abnn2::nn::Network;
+use abnn2::nn::{LayerGraph, Network};
 use abnn2::serve::{GovernorConfig, ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
 use std::io::Write;
@@ -114,11 +112,11 @@ fn run_seed(
     let policy = RetryPolicy::no_delay(3);
     let (dialer, listener) = sim_link(NetworkModel::instant());
 
-    let server = ResilientServer::new(SecureServer::new(q.clone()))
+    let server = ResilientServer::new(SecureServer::for_model(q.clone()))
         .with_policy(policy)
         .with_deadlines(deadlines);
     let client =
-        ResilientClient::new(SecureClient::new(PublicModelInfo::from(q)).with_silent(silent))
+        ResilientClient::new(SecureClient::for_model(LayerGraph::from(q)).with_silent(silent))
             .with_policy(policy)
             .with_deadlines(deadlines);
 
@@ -276,8 +274,8 @@ fn flip_sweep(silent: bool, sweep: u64) {
             let flip = Fault::FlipTag { index };
             let mut sch = FaultyTransport::new(a, if side == 0 { flip } else { Fault::None });
             let mut cch = FaultyTransport::new(b, if side == 1 { flip } else { Fault::None });
-            let server = SecureServer::new(q.clone());
-            let client = SecureClient::new(PublicModelInfo::from(&q)).with_silent(silent);
+            let server = SecureServer::for_model(q.clone());
+            let client = SecureClient::for_model(LayerGraph::from(&q)).with_silent(silent);
             let inputs2 = inputs.clone();
             let (sres, cres) = std::thread::scope(|scope| {
                 let srv = scope.spawn(move || {
@@ -331,7 +329,7 @@ fn event_loop_cut_while_parked_checkpoints_and_resumes_bit_exact() {
     let q = tiny_model();
     let x: Vec<u64> = vec![700, 1 << 8, 3, 90, 0, 5, 2 << 7, 33, 12, 256];
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q.clone(),
         "127.0.0.1:0",
@@ -345,10 +343,10 @@ fn event_loop_cut_while_parked_checkpoints_and_resumes_bit_exact() {
     )
     .expect("start server");
     let addr = server.addr();
-    let client = SecureClient::new(info.clone());
+    let client = SecureClient::for_model(info.clone());
     let mut rng = rand::rngs::StdRng::seed_from_u64(31337);
     let token: [u8; 16] = [0x5A; 16];
-    let ours = SessionParams::for_model(&info, ExecConfig::new().variant, 1);
+    let ours = SessionParams::for_graph(&info, ExecConfig::new().variant, 1);
 
     // Attempt 1: run through the offline phase, then cut the connection
     // while the server's driver is parked awaiting the first online frame.
@@ -409,7 +407,7 @@ fn event_loop_rides_out_delayed_frames_while_parked() {
     let q = tiny_model();
     let x: Vec<u64> = vec![9, 200, 31, 4, 1 << 9, 55, 6, 77, 801, 12];
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q.clone(),
         "127.0.0.1:0",
@@ -423,10 +421,10 @@ fn event_loop_rides_out_delayed_frames_while_parked() {
     )
     .expect("start server");
     let addr = server.addr();
-    let client = SecureClient::new(info.clone());
+    let client = SecureClient::for_model(info.clone());
     let mut rng = rand::rngs::StdRng::seed_from_u64(4711);
     let token: [u8; 16] = [0x77; 16];
-    let ours = SessionParams::for_model(&info, ExecConfig::new().variant, 1);
+    let ours = SessionParams::for_graph(&info, ExecConfig::new().variant, 1);
 
     // Stall a spread of frames in both directions: the hello (driver parks
     // before any protocol state), mid-setup, and deep in the offline phase.
@@ -472,10 +470,10 @@ fn chaos_smoke_on_lan_model() {
     for seed in 0..4u64 {
         let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
         let (dialer, listener) = sim_link(NetworkModel::lan());
-        let server = ResilientServer::new(SecureServer::new(q.clone()))
+        let server = ResilientServer::new(SecureServer::for_model(q.clone()))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(deadlines);
-        let client = ResilientClient::new(SecureClient::new(PublicModelInfo::from(&q)))
+        let client = ResilientClient::new(SecureClient::for_model(LayerGraph::from(&q)))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(deadlines);
         std::thread::scope(|scope| {
@@ -519,7 +517,7 @@ fn governor_evicts_slowloris_while_warm_sibling_completes() {
     let q = tiny_model();
     let x: Vec<u64> = vec![700, 1 << 8, 3, 90, 0, 5, 2 << 7, 33, 12, 256];
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q.clone(),
         "127.0.0.1:0",
@@ -570,7 +568,7 @@ fn governor_evicts_slowloris_while_warm_sibling_completes() {
             assert!(Instant::now() < deadline, "slowloris never admitted");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let client = ServeClient::new(info.clone())
+        let client = ServeClient::for_model(info.clone())
             .with_deadlines(SessionDeadlines::uniform(Duration::from_secs(60)));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x51B_1146);
         let (y, report) =
@@ -616,7 +614,7 @@ fn governor_evicts_never_draining_reader_on_outbound_cap() {
             scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
         },
     );
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q,
         "127.0.0.1:0",
@@ -639,7 +637,7 @@ fn governor_evicts_never_draining_reader_on_outbound_cap() {
     // frame buffer's backlog crosses the cap.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xDEAD_BEEF);
     let token: [u8; 16] = [0x44; 16];
-    let ours = SessionParams::for_model(&info, ExecConfig::new().variant, 1);
+    let ours = SessionParams::for_graph(&info, ExecConfig::new().variant, 1);
     let ch = {
         let mut ch = TcpTransport::connect(server.addr()).expect("connect");
         ch.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
@@ -679,7 +677,7 @@ fn governor_evicts_never_draining_reader_on_outbound_cap() {
 #[test]
 fn mid_online_panic_quarantines_session_but_siblings_finish_bit_exact() {
     let q = tiny_model();
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q.clone(),
         "127.0.0.1:0",
@@ -704,7 +702,7 @@ fn mid_online_panic_quarantines_session_but_siblings_finish_bit_exact() {
     let exact: usize = std::thread::scope(|scope| {
         (0..3u64)
             .map(|c| {
-                let client = ServeClient::new(info.clone())
+                let client = ServeClient::for_model(info.clone())
                     .with_bundles(false)
                     .with_deadlines(SessionDeadlines::uniform(Duration::from_secs(30)))
                     .with_policy(RetryPolicy::no_delay(3));
@@ -758,7 +756,7 @@ fn silent_cut_after_expansion_checkpoints_and_resumes_bit_exact() {
     let q = tiny_model();
     let x: Vec<u64> = vec![700, 1 << 8, 3, 90, 0, 5, 2 << 7, 33, 12, 256];
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q.clone(),
         "127.0.0.1:0",
@@ -772,10 +770,10 @@ fn silent_cut_after_expansion_checkpoints_and_resumes_bit_exact() {
     )
     .expect("start server");
     let addr = server.addr();
-    let client = SecureClient::new(info.clone());
+    let client = SecureClient::for_model(info.clone());
     let mut rng = rand::rngs::StdRng::seed_from_u64(41337);
     let token: [u8; 16] = [0xA5; 16];
-    let ours = SessionParams::for_model(&info, ExecConfig::new().variant, 1);
+    let ours = SessionParams::for_graph(&info, ExecConfig::new().variant, 1);
 
     // Attempt 1: negotiate silent, run the offline phase (base-OT
     // bootstrap + SPCOT/LPN expansion), then cut while the server's
@@ -858,7 +856,7 @@ fn transformer_trial(
     let mut sch = FaultyTransport::new(a, fault(0));
     let mut cch = FaultyTransport::new(b, fault(1));
     let server = SecureServer::for_model(model.clone());
-    let client = SecureClient::for_model(PublicTransformerInfo::from(model));
+    let client = SecureClient::for_model(LayerGraph::from(model));
     let input = x.to_vec();
     std::thread::scope(|scope| {
         let srv = scope.spawn(move || {
@@ -935,7 +933,7 @@ fn transformer_tag_flip_sweep_names_the_expected_frame() {
 fn cut_during_matmul_opening_checkpoints_and_resumes_bit_exact() {
     let (model, x) = tiny_chaos_transformer();
     let expected = model.forward_exact(&x);
-    let info = PublicTransformerInfo::from(&model);
+    let info = LayerGraph::from(&model);
     let server = Server::start(
         model.clone(),
         "127.0.0.1:0",
@@ -1011,7 +1009,7 @@ fn cut_during_matmul_opening_checkpoints_and_resumes_bit_exact() {
 #[test]
 fn mixed_fleet_silent_and_iknp_clients_one_server() {
     let q = tiny_model();
-    let info = PublicModelInfo::from(&q);
+    let info = LayerGraph::from(&q);
     let server = Server::start(
         q.clone(),
         "127.0.0.1:0",
@@ -1031,7 +1029,7 @@ fn mixed_fleet_silent_and_iknp_clients_one_server() {
         (0..6u64)
             .map(|c| {
                 let silent = c % 2 == 0;
-                let client = ServeClient::new(info.clone())
+                let client = ServeClient::for_model(info.clone())
                     .with_bundles(false)
                     .with_silent(silent)
                     .with_deadlines(SessionDeadlines::uniform(Duration::from_secs(30)))

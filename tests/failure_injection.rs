@@ -12,7 +12,7 @@ use abnn2::gc::{circuits, GcError, YaoEvaluator, YaoGarbler};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{run_pair, Endpoint, Fault, FaultyTransport, NetworkModel, TransportError};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
-use abnn2::nn::Network;
+use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
 use abnn2::ot::OtError;
 use rand::SeedableRng;
 
@@ -37,8 +37,8 @@ fn client_abort_mid_inference_surfaces_to_server() {
             scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
         },
     );
-    let server = SecureServer::new(q);
-    let info = server.public_info();
+    let server = SecureServer::for_model(q);
+    let info = server.public_model();
     let (server_result, (), _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -49,8 +49,8 @@ fn client_abort_mid_inference_surfaces_to_server() {
             // The client handshakes and sets up the session, then walks
             // away before the offline phase.
             let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-            let ours = abnn2::core::SessionParams::for_model(
-                &info,
+            let ours = abnn2::core::SessionParams::for_graph(
+                &info.graph(),
                 abnn2::core::ReluVariant::Oblivious,
                 1,
             );
@@ -263,8 +263,8 @@ fn mismatched_batch_dimensions_rejected_before_io() {
             scheme: FragmentScheme::ternary(),
         },
     );
-    let server = SecureServer::new(q);
-    let client = SecureClient::new(server.public_info());
+    let server = SecureServer::for_model(q);
+    let client = SecureClient::for_model(server.public_model());
     let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     assert_eq!(
@@ -276,4 +276,40 @@ fn mismatched_batch_dimensions_rejected_before_io() {
         client.offline(&mut c, 0, &mut rng).err(),
         Some(ProtocolError::Dimension("batch must be positive"))
     );
+}
+
+/// A CNN with an empty dense stack lowers to an empty graph. Handing its
+/// public model to a client must not panic; the client's offline phase and
+/// the server's inbound quota both reject the graph with a typed error
+/// before any I/O.
+#[test]
+fn cnn_without_dense_layers_fails_typed_instead_of_panicking() {
+    let cnn = QuantizedCnn {
+        config: QuantConfig {
+            ring: Ring::new(32),
+            frac_bits: 6,
+            weight_frac_bits: 0,
+            scheme: FragmentScheme::ternary(),
+        },
+        conv: QuantizedConv {
+            out_channels: 2,
+            in_shape: ConvShape { channels: 1, height: 8, width: 8 },
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            weights: vec![1; 18],
+            bias: vec![0, 0],
+        },
+        pool_window: 2,
+        dense: vec![],
+    };
+    let server = SecureServer::for_model(cnn);
+    let client = SecureClient::for_model(server.public_model());
+    let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    assert_eq!(
+        client.offline(&mut a, 1, &mut rng).err(),
+        Some(ProtocolError::Dimension("graph has no ops"))
+    );
+    assert_eq!(server.inbound_ceiling(1).err(), Some(ProtocolError::Dimension("graph has no ops")));
 }

@@ -10,11 +10,16 @@
 //! `+2 × HELLO_LEN` delta because the graph refactor gives CNN sessions
 //! the same version/parameter handshake the MLP always had.
 
-use abnn2::core::{PublicModelInfo, SecureClient, SecureServer};
+use abnn2::core::{
+    BundleKey, OfflineMode, ReluVariant, SecureClient, SecureServer, ServedModel, SessionParams,
+};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{run_pair, NetworkModel};
+use abnn2::nn::model::paper_network_dims;
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
-use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
+use abnn2::nn::{
+    ConvShape, LayerGraph, Network, QuantizedCnn, QuantizedConv, QuantizedTransformer,
+};
 use rand::{Rng, SeedableRng};
 
 /// The η ∈ {2, 3, 4, 8} sweep, with 8 bits in both the uniform (2,2,2,2)
@@ -83,8 +88,8 @@ fn mlp_total_bytes(seed: u64, scheme: FragmentScheme) -> u64 {
         .collect();
     let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
-    let server = SecureServer::new(q.clone());
-    let client = SecureClient::new(PublicModelInfo::from(&q));
+    let server = SecureServer::for_model(q.clone());
+    let client = SecureClient::for_model(LayerGraph::from(&q));
     let inputs2 = inputs_fp.clone();
     let (srv, y, report) = run_pair(
         NetworkModel::instant(),
@@ -228,4 +233,80 @@ fn cnn_transcript_matches_pre_refactor_golden_plus_handshake_and_tags() {
              handshake delta plus exactly one tag byte per frame"
         );
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Asserts the `(scheme_digest, model_digest)` a served model announces in
+/// its hello and keys its bundles under, along every derivation path: the
+/// server's graph, the public model handed to clients, and the plain
+/// `LayerGraph::from` lowering.
+fn assert_digests(name: &str, served: ServedModel, lowered: &LayerGraph, want: (&str, &str)) {
+    let graphs = [served.graph(), served.public().graph(), lowered.clone()];
+    for graph in &graphs {
+        let params = SessionParams::for_graph(graph, ReluVariant::Oblivious, 1);
+        let got = (hex(&params.scheme_digest), hex(&params.model_digest));
+        assert_eq!((got.0.as_str(), got.1.as_str()), want, "{name}: hello digests");
+        let key = BundleKey::for_graph(graph, 1);
+        assert_eq!(
+            key,
+            BundleKey {
+                model_digest: params.model_digest,
+                scheme_digest: params.scheme_digest,
+                batch: 1,
+                mode: OfflineMode::Iknp,
+            },
+            "{name}: bundle key"
+        );
+    }
+}
+
+/// The hello is a fixed 56 bytes, so the byte-count goldens above cannot
+/// see a change in what the digests hash. These rows pin the digests
+/// themselves for the paper's Fig-4 MLP, the CNN above and the 14-op
+/// encoder block: a change to a model's public description or to
+/// `LayerGraph::describe` fails here.
+#[test]
+fn hello_and_bundle_digests_are_pinned() {
+    let fig4 = QuantizedNetwork::quantize(
+        &Network::new(&paper_network_dims(), 7),
+        QuantConfig {
+            ring: Ring::new(32),
+            frac_bits: 8,
+            weight_frac_bits: 4,
+            scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
+        },
+    );
+    assert_digests(
+        "fig4",
+        ServedModel::from(fig4.clone()),
+        &LayerGraph::from(&fig4),
+        ("29c41f02d0e08c66", "6adf87e3eba882ec"),
+    );
+
+    let cnn = cnn_model(0x42, FragmentScheme::signed_bit_fields(&[2, 2]));
+    assert_digests(
+        "cnn",
+        ServedModel::from(cnn.clone()),
+        &LayerGraph::from(&cnn),
+        ("29c41f02d0e08c66", "1971d54c072d5433"),
+    );
+
+    let config = QuantConfig {
+        ring: Ring::new(16),
+        frac_bits: 6,
+        weight_frac_bits: 2,
+        scheme: FragmentScheme::optimal(4),
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x81);
+    let encoder = QuantizedTransformer::random(4, 4, 8, 3, config, &mut rng).expect("encoder");
+    assert_eq!(encoder.graph().ops.len(), 14, "the encoder block is a 14-op graph");
+    assert_digests(
+        "encoder",
+        ServedModel::from(encoder.clone()),
+        encoder.graph(),
+        ("f3fc02b149034d6b", "4bf1e68628cad1fa"),
+    );
 }

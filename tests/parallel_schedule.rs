@@ -10,12 +10,12 @@
 //! parallelism threshold, so the sharded KK13/IKNP paths really run) and
 //! for a transformer graph (matrix-triple offline phase).
 
-use abnn2::core::{ExecConfig, PublicModelInfo, PublicTransformerInfo, SecureClient, SecureServer};
+use abnn2::core::{ExecConfig, SecureClient, SecureServer};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{CommSnapshot, Endpoint, NetworkModel, Transport, TransportError};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
-use abnn2::nn::Network;
+use abnn2::nn::{LayerGraph, Network};
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
@@ -110,8 +110,8 @@ fn mlp_transcripts(threads: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let expected = q.forward_exact(&input);
 
     let exec = ExecConfig::new().with_threads(threads);
-    let client = SecureClient::new(PublicModelInfo::from(&q)).with_exec(exec);
-    let server = SecureServer::new(q).with_exec(exec);
+    let client = SecureClient::for_model(LayerGraph::from(&q)).with_exec(exec);
+    let server = SecureServer::for_model(q).with_exec(exec);
     let (server_ep, client_ep) = Endpoint::pair(NetworkModel::instant());
     let mut sch = RecordingTransport::new(server_ep);
     let mut cch = RecordingTransport::new(client_ep);
@@ -150,7 +150,7 @@ fn transformer_transcripts(threads: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
 
     let exec = ExecConfig::new().with_threads(threads);
     let server = SecureServer::for_model(model.clone()).with_exec(exec);
-    let client = SecureClient::for_model(PublicTransformerInfo::from(&model)).with_exec(exec);
+    let client = SecureClient::for_model(LayerGraph::from(&model)).with_exec(exec);
     let (server_ep, client_ep) = Endpoint::pair(NetworkModel::instant());
     let mut sch = RecordingTransport::new(server_ep);
     let mut cch = RecordingTransport::new(client_ep);

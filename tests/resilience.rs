@@ -4,11 +4,10 @@
 //! mid-online connection loss must be survivable with bit-identical
 //! logits via reconnect-and-resume.
 
-use abnn2::core::cnn::PublicCnnInfo;
 use abnn2::core::handshake::{
     handshake_client_ext, handshake_server_ext, HelloRequest, SessionParams,
 };
-use abnn2::core::inference::{ClientOffline, PublicModelInfo, SecureClient, SecureServer};
+use abnn2::core::inference::{ClientOffline, SecureClient, SecureServer};
 use abnn2::core::resilient::{CheckpointStore, ResilientClient, ResilientServer};
 use abnn2::core::session::ClientSession;
 use abnn2::core::{ProtocolError, ReluVariant, SessionDeadlines};
@@ -18,7 +17,7 @@ use abnn2::net::{
     run_pair, sim_link, Fault, FaultyTransport, NetworkModel, RetryPolicy, TcpTransport, Transport,
 };
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
-use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
+use abnn2::nn::{ConvShape, LayerGraph, Network, QuantizedCnn, QuantizedConv};
 use abnn2::ot::{KkChooser, OtError};
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
@@ -95,7 +94,7 @@ fn silent_peer_times_out_yao_session() {
 #[test]
 fn silent_peer_times_out_full_inference() {
     let q = tiny_model(4);
-    let client = SecureClient::new(PublicModelInfo::from(&q));
+    let client = SecureClient::for_model(LayerGraph::from(&q));
     let mut ch = silent_peer_transport(READ_TIMEOUT);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let start = Instant::now();
@@ -107,8 +106,9 @@ fn silent_peer_times_out_full_inference() {
 #[test]
 fn variant_mismatch_fails_negotiation_on_both_sides() {
     let q = tiny_model(6);
-    let server = SecureServer::new(q.clone()).with_variant(ReluVariant::Oblivious);
-    let client = SecureClient::new(server.public_info()).with_variant(ReluVariant::Optimized);
+    let server = SecureServer::for_model(q.clone()).with_variant(ReluVariant::Oblivious);
+    let client =
+        SecureClient::for_model(server.public_model()).with_variant(ReluVariant::Optimized);
     let (server_result, client_result, _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -136,8 +136,8 @@ fn variant_mismatch_fails_negotiation_on_both_sides() {
 #[test]
 fn batch_mismatch_fails_negotiation() {
     let q = tiny_model(9);
-    let server = SecureServer::new(q.clone());
-    let client = SecureClient::new(server.public_info());
+    let server = SecureServer::for_model(q.clone());
+    let client = SecureClient::for_model(server.public_model());
     let (server_result, client_result, _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -156,7 +156,7 @@ fn batch_mismatch_fails_negotiation() {
 #[test]
 fn non_protocol_peer_is_handshake_error() {
     let q = tiny_model(12);
-    let server = SecureServer::new(q);
+    let server = SecureServer::for_model(q);
     let (server_result, (), _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -176,8 +176,8 @@ fn handshake_rejects_stale_resume_token() {
     // A client presenting a resume token the server has never seen must be
     // answered with "fresh run", not an error.
     let q = tiny_model(14);
-    let info = PublicModelInfo::from(&q);
-    let ours = SessionParams::for_model(&info, ReluVariant::Oblivious, 1);
+    let info = LayerGraph::from(&q);
+    let ours = SessionParams::for_graph(&info, ReluVariant::Oblivious, 1);
     let (mut c, mut s) = abnn2::net::Endpoint::pair(NetworkModel::instant());
     std::thread::scope(|scope| {
         scope.spawn(move || {
@@ -200,14 +200,14 @@ fn reconnect_resume_is_bit_identical() {
 
     let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
     let (dialer, listener) = sim_link(NetworkModel::instant());
-    let server = ResilientServer::new(SecureServer::new(q))
+    let server = ResilientServer::new(SecureServer::for_model(q))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
     let client_info = {
         let q2 = tiny_model(15);
-        PublicModelInfo::from(&q2)
+        LayerGraph::from(&q2)
     };
-    let client = ResilientClient::new(SecureClient::new(client_info))
+    let client = ResilientClient::new(SecureClient::for_model(client_info))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
 
@@ -287,7 +287,7 @@ fn cnn_reconnect_resume_is_bit_identical() {
     let server = ResilientServer::new(SecureServer::for_model(cnn.clone()))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
-    let client = ResilientClient::new(SecureClient::for_model(PublicCnnInfo::from(&cnn)))
+    let client = ResilientClient::new(SecureClient::for_model(LayerGraph::from(&cnn)))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
 
@@ -321,7 +321,7 @@ fn cnn_reconnect_resume_is_bit_identical() {
 #[test]
 fn retry_exhaustion_is_typed_not_a_hang() {
     let q = tiny_model(18);
-    let client = ResilientClient::new(SecureClient::new(PublicModelInfo::from(&q)))
+    let client = ResilientClient::new(SecureClient::for_model(LayerGraph::from(&q)))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(SessionDeadlines::uniform(READ_TIMEOUT));
     let mut rng = rand::rngs::StdRng::seed_from_u64(19);
@@ -341,10 +341,10 @@ fn retry_exhaustion_is_typed_not_a_hang() {
 #[test]
 fn resume_with_a_different_batch_fails_typed_on_both_sides() {
     let q = tiny_model(44);
-    let info = PublicModelInfo::from(&q);
-    let client = SecureClient::new(info.clone());
+    let info = LayerGraph::from(&q);
+    let client = SecureClient::for_model(info.clone());
     let store = Arc::new(CheckpointStore::new(4));
-    let server = ResilientServer::new(SecureServer::new(q))
+    let server = ResilientServer::new(SecureServer::for_model(q))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(SessionDeadlines::uniform(READ_TIMEOUT))
         .with_checkpoint_store(Arc::clone(&store));
@@ -362,7 +362,7 @@ fn resume_with_a_different_batch_fails_typed_on_both_sides() {
         // Attempt 0: a batch-1 offline phase, then walk away before
         // online; the server checkpoints the job under `token`.
         let mut ch = dialer.dial().expect("dial");
-        let ours = SessionParams::for_model(&info, ReluVariant::Oblivious, 1);
+        let ours = SessionParams::for_graph(&info, ReluVariant::Oblivious, 1);
         let reply = handshake_client_ext(&mut ch, ours, &token, HelloRequest::default())
             .expect("first handshake");
         let session = ClientSession::setup_with(&mut ch, reply.mode(), &mut rng).expect("setup");
@@ -373,7 +373,7 @@ fn resume_with_a_different_batch_fails_typed_on_both_sides() {
         // Attempt 1: resume under the same token, announcing batch 2.
         let mut ch = dialer.dial().expect("dial");
         ch.set_read_timeout(Some(READ_TIMEOUT)).expect("read timeout");
-        let ours = SessionParams::for_model(&info, ReluVariant::Oblivious, 2);
+        let ours = SessionParams::for_graph(&info, ReluVariant::Oblivious, 2);
         let request = HelloRequest { resume: true, ..HelloRequest::default() };
         let client_err = (|| {
             let reply = handshake_client_ext(&mut ch, ours, &token, request)?;

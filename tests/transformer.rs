@@ -4,12 +4,12 @@
 //! oracle across fragment bitwidths, and warm from the precompute pool
 //! with zero offline-phase bytes.
 
-use abnn2::core::inference::PublicTransformerInfo;
 use abnn2::core::{SecureClient, SecureServer, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{run_pair, NetworkModel};
 use abnn2::nn::quant::QuantConfig;
 use abnn2::nn::transformer::QuantizedTransformer;
+use abnn2::nn::LayerGraph;
 use abnn2::serve::{ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -49,7 +49,7 @@ fn transformer_logits_match_oracle_across_bitwidths() {
         let expected = model.forward_exact(&x);
 
         let server = SecureServer::for_model(model.clone());
-        let client = SecureClient::for_model(PublicTransformerInfo::from(&model));
+        let client = SecureClient::for_model(LayerGraph::from(&model));
         let input = x.clone();
         let (_, y, _) = run_pair(
             NetworkModel::instant(),
@@ -78,7 +78,7 @@ fn warm_pool_serves_transformer_with_zero_offline_bytes() {
     let model = tiny_transformer(3, 330);
     let x = sample_tokens(&model, 331);
     let expected = model.forward_exact(&x);
-    let info = PublicTransformerInfo::from(&model);
+    let info = LayerGraph::from(&model);
     let config = ServeConfig {
         workers: 2,
         pool_depth: 2,
